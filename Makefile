@@ -14,8 +14,9 @@ generate:
 test:
 	$(GO) test ./...
 
-# The tier-1 gate: build + vet + tests + a short -race pass of the
-# concurrency-bearing packages (fault simulation workers, event engine).
+# The tier-1 gate: build + vet + tests + the nested benchmark module's
+# vet and tests + a short -race pass of the concurrency-bearing packages
+# (fault simulation workers, event engine).
 check:
 	./scripts/check.sh
 

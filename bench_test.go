@@ -295,12 +295,11 @@ func BenchmarkTable5FaultCoverageSharded(b *testing.B) {
 	b.ReportMetric(fcOf(d.PhaseAB), "phaseAB-FC%")
 }
 
-// BenchmarkFusedReplay measures checkpoint-window replay fusion against
-// the unfused per-pass reference on the Phase A workload: identical pass
-// plan and detections (asserted by internal/fault's fusion equivalence
-// tests), so the wall-clock delta is pure per-pass setup — cold simulator
-// construction, golden replay to the activation cycle, and full hook
-// reinstallation — that fusion amortizes across each window.
+// BenchmarkFusedReplay measures the differential engine's fused
+// checkpoint-window dispatch on the Phase A workload (Sample=1024): each
+// window's passes run back to back on one warm simulator, started from
+// delta-reconstructed golden state. The /fused sub-benchmark name is the
+// row scripts/benchguard.sh guards.
 func BenchmarkFusedReplay(b *testing.B) {
 	e := benchEnv(b)
 	g, err := e.Golden(core.PhaseA)
@@ -308,28 +307,23 @@ func BenchmarkFusedReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	faults := e.Faults()
-	for _, c := range []struct {
-		name   string
-		noFuse bool
-	}{{"fused", false}, {"unfused", true}} {
-		b.Run(c.name, func(b *testing.B) {
-			opt := fault.Options{Sample: 1024, Seed: 1, NoFusion: c.noFuse}
-			var detected int
-			for i := 0; i < b.N; i++ {
-				res, err := fault.Simulate(e.CPU, g, faults, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				detected = 0
-				for j := range res.Faults {
-					if res.Detected(j) {
-						detected++
-					}
+	b.Run("fused", func(b *testing.B) {
+		opt := fault.Options{Sample: 1024, Seed: 1}
+		var detected int
+		for i := 0; i < b.N; i++ {
+			res, err := fault.Simulate(e.CPU, g, faults, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			detected = 0
+			for j := range res.Faults {
+				if res.Detected(j) {
+					detected++
 				}
 			}
-			b.ReportMetric(float64(detected), "detected")
-		})
-	}
+		}
+		b.ReportMetric(float64(detected), "detected")
+	})
 }
 
 // BenchmarkServeThroughput measures the warm-state grading service's

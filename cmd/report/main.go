@@ -79,7 +79,6 @@ func main() {
 	engine := flag.String("engine", "event", "fault-simulation engine: event or oblivious")
 	lanes := flag.Int("lanes", 0, "lane words per fault pass: a power of two up to 64 (0 = cost-model adaptive)")
 	stats := flag.Bool("stats", false, "print cumulative fault-simulation work statistics")
-	fuse := flag.Bool("fuse", true, "fuse checkpoint-window replay across passes (false = unfused reference path)")
 	shards := flag.Int("shards", 1, "fault-grading worker processes per simulation (1 = in-process)")
 	shardTimeout := flag.Duration("shard-timeout", 0, "per-shard-worker wall-clock budget (0 = default)")
 	server := flag.String("server", "", "grade through a running sbstd daemon at this address (serves one synthesized core, so use a native-lib table like -table 5; the techlib table is rejected by the netlist guard)")
@@ -138,7 +137,7 @@ func main() {
 	}
 
 	var simStats fault.SimStats
-	opt := fault.Options{Sample: *sample, Seed: *seed, Workers: *workers, Engine: eng, LaneWords: *lanes, NoFusion: !*fuse}
+	opt := fault.Options{Sample: *sample, Seed: *seed, Workers: *workers, Engine: eng, LaneWords: *lanes}
 	if *stats {
 		opt.CollectInto = &simStats
 	}

@@ -18,7 +18,7 @@
 // (default) or the oblivious reference engine, -lanes caps the lane words
 // per pass (a power of two up to 64 = 64..4096 faulty machines; 0 =
 // cost-model adaptive up to 64), and -stats prints the engine's work
-// counters (gate evals/cycle, fast-forwarded and replayed cycles, lane
+// counters (gate evals/cycle, fast-forwarded cycles, replay fusion, lane
 // drops, pass-width histogram, SIMD/generic kernel dispatch, bus-trace
 // and golden-trace compression). -checkpoint-k
 // sets the golden-trace checkpoint interval (full flip-flop snapshots
@@ -97,7 +97,6 @@ func main() {
 	engine := flag.String("engine", "event", "fault-simulation engine: event or oblivious")
 	lanes := flag.Int("lanes", 0, "lane words per fault pass: a power of two up to 64 (0 = cost-model adaptive)")
 	stats := flag.Bool("stats", false, "print fault-simulation work statistics")
-	fuse := flag.Bool("fuse", true, "fuse checkpoint-window replay across passes (false = unfused reference path)")
 	shards := flag.Int("shards", 1, "fault-grading worker processes (1 = in-process)")
 	shardTimeout := flag.Duration("shard-timeout", 0, "per-shard-worker wall-clock budget (0 = default)")
 	shardWorker := flag.Bool("shard-worker", false, "serve one shard-grading request on stdin/stdout and exit")
@@ -287,7 +286,7 @@ func main() {
 				Cache:     disk,
 			})
 		default:
-			opt := fault.Options{Sample: *sample, Seed: *seed, Workers: *workers, Engine: eng, LaneWords: *lanes, NoFusion: !*fuse}
+			opt := fault.Options{Sample: *sample, Seed: *seed, Workers: *workers, Engine: eng, LaneWords: *lanes}
 			res, err = fault.Simulate(cpu, golden, faults, opt)
 		}
 		if err != nil {

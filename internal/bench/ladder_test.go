@@ -150,7 +150,7 @@ func TestLadderSharedWorkloadIdenticalResults(t *testing.T) {
 }
 
 // TestLadderBitIdentity grades the shared workload on every variant under
-// a matrix of engine × lane-width × fused/unfused × sharding configs and
+// a matrix of engine × lane-width × sharding configs and
 // asserts every cell produces bit-identical per-fault outcomes (DetectedAt
 // and SignatureGroups) — the cross-variant extension of the repo's
 // engine-equivalence guarantee.
@@ -167,10 +167,10 @@ func TestLadderBitIdentity(t *testing.T) {
 		shards int
 	}
 	cfgs := []cfg{
-		{"event/adaptive/fused", fault.Options{Engine: fault.EngineEvent}, 1},
-		{"event/lanes8/unfused", fault.Options{Engine: fault.EngineEvent, LaneWords: 8, NoFusion: true}, 1},
-		{"event/lanes1/fused", fault.Options{Engine: fault.EngineEvent, LaneWords: 1}, 1},
-		{"oblivious/lanes4/fused", fault.Options{Engine: fault.EngineOblivious, LaneWords: 4}, 1},
+		{"event/adaptive", fault.Options{Engine: fault.EngineEvent}, 1},
+		{"event/lanes8", fault.Options{Engine: fault.EngineEvent, LaneWords: 8}, 1},
+		{"event/lanes1", fault.Options{Engine: fault.EngineEvent, LaneWords: 1}, 1},
+		{"oblivious/lanes4", fault.Options{Engine: fault.EngineOblivious, LaneWords: 4}, 1},
 		{"event/adaptive/2shards", fault.Options{Engine: fault.EngineEvent}, 2},
 	}
 

@@ -339,8 +339,9 @@ func TestWidthEquivalenceRandomProgram(t *testing.T) {
 
 // TestCheckpointBoundaryActivations targets the fast-forward edge cases:
 // faults whose earliest activation falls exactly ON a checkpoint boundary
-// (zero golden cycles replayed before injection) and exactly ONE CYCLE
-// BEFORE a boundary (the maximum k-1 cycles replayed). Both populations
+// (zero golden cycles between the boundary and injection) and exactly ONE
+// CYCLE BEFORE a boundary (the maximum k-1 cycles reconstructed from
+// deltas). Both populations
 // must produce bit-identical results against a dense k=1 capture. A small
 // interval keeps boundaries frequent so both populations are non-empty.
 func TestCheckpointBoundaryActivations(t *testing.T) {

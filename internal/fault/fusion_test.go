@@ -8,11 +8,11 @@ import (
 	"repro/internal/plasma"
 )
 
-// Replay-fusion regression suite. The fused scheduler (the default) runs
-// whole checkpoint windows of passes on one warm simulator instead of
-// cold-starting every pass; NoFusion selects the original per-pass path.
-// Everything observable except the replay accounting must be
-// bit-identical between the two.
+// Replay-fusion regression suite. The differential engine runs whole
+// checkpoint windows of passes on one warm simulator, each pass started
+// from delta-reconstructed golden state; the oblivious engine, which
+// simulates every fault from reset, is the reference it must match
+// bit for bit.
 
 // fusionTestGolden captures the equivalence-test program at one
 // checkpoint interval.
@@ -29,44 +29,45 @@ func fusionTestGolden(t *testing.T, cpu *plasma.CPU, cycles, k int) *plasma.Gold
 	return g
 }
 
-// TestFusionEquivalence asserts the fused scheduler is bit-identical to
-// the unfused reference: same detections, same signature groups, and
-// therefore the same fault dictionary, across checkpoint intervals, lane
-// widths and both engines. (The oblivious engine never fuses — both runs
-// take the same path there — but it pins the cross-engine reference.)
+// TestFusionEquivalence asserts the fused differential engine is
+// bit-identical to the oblivious reference: same detections, same
+// signature groups, and therefore the same fault dictionary, across
+// checkpoint intervals, lane widths and worker counts. The oblivious
+// engine ignores checkpoints and widths do not change outcomes, so one
+// reference run per interval anchors every cell.
 func TestFusionEquivalence(t *testing.T) {
 	cpu := getCPU(t)
 	faults := Universe(cpu.Netlist)
 	for _, k := range []int{1, 32, 64} {
 		g := fusionTestGolden(t, cpu, 240, k)
-		for _, eng := range []Engine{EngineEvent, EngineOblivious} {
-			for _, w := range []int{1, 8, 32} {
-				opt := Options{Sample: 192, Seed: 7, Engine: eng, LaneWords: w}
+		ref, err := Simulate(cpu, g, faults, Options{Sample: 192, Seed: 7, Engine: EngineOblivious})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refDict := BuildDictionary(ref)
+		for _, w := range []int{1, 8, 32, 64} {
+			for _, workers := range []int{1, 3} {
+				opt := Options{Sample: 192, Seed: 7, Engine: EngineEvent, LaneWords: w, Workers: workers}
 				fused, err := Simulate(cpu, g, faults, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				opt.NoFusion = true
-				plain, err := Simulate(cpu, g, faults, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := fmt.Sprintf("k=%d engine=%v lanes=%d", k, eng, w)
-				for i := range plain.DetectedAt {
-					if fused.DetectedAt[i] != plain.DetectedAt[i] {
-						t.Fatalf("%s: fault %d (%v) fused DetectedAt=%d, unfused %d",
-							name, i, plain.Faults[i].Site, fused.DetectedAt[i], plain.DetectedAt[i])
+				name := fmt.Sprintf("k=%d lanes=%d workers=%d", k, w, workers)
+				for i := range ref.DetectedAt {
+					if fused.DetectedAt[i] != ref.DetectedAt[i] {
+						t.Fatalf("%s: fault %d (%v) fused DetectedAt=%d, oblivious %d",
+							name, i, ref.Faults[i].Site, fused.DetectedAt[i], ref.DetectedAt[i])
 					}
-					if fused.SignatureGroups[i] != plain.SignatureGroups[i] {
-						t.Fatalf("%s: fault %d (%v) fused groups=%#x, unfused %#x",
-							name, i, plain.Faults[i].Site, fused.SignatureGroups[i], plain.SignatureGroups[i])
+					if fused.SignatureGroups[i] != ref.SignatureGroups[i] {
+						t.Fatalf("%s: fault %d (%v) fused groups=%#x, oblivious %#x",
+							name, i, ref.Faults[i].Site, fused.SignatureGroups[i], ref.SignatureGroups[i])
 					}
 				}
-				fd, pd := BuildDictionary(fused), BuildDictionary(plain)
-				for i := range pd.Signatures {
-					if fd.Signatures[i] != pd.Signatures[i] {
-						t.Fatalf("%s: dictionary entry %d differs: fused %+v, unfused %+v",
-							name, i, fd.Signatures[i], pd.Signatures[i])
+				fd := BuildDictionary(fused)
+				for i := range refDict.Signatures {
+					if fd.Signatures[i] != refDict.Signatures[i] {
+						t.Fatalf("%s: dictionary entry %d differs: fused %+v, oblivious %+v",
+							name, i, fd.Signatures[i], refDict.Signatures[i])
 					}
 				}
 			}
@@ -74,13 +75,14 @@ func TestFusionEquivalence(t *testing.T) {
 	}
 }
 
-// TestFusionStatsExact pins the accounting contract of fusion: the same
-// passes run at the same widths from the same checkpoint boundaries, and
-// the golden cycles the unfused path replays per pass are exactly the
-// cycles fusion saves. The fault list is restricted to faults activating
-// strictly inside a window (act % k != 0, act > 0) so every pass has a
-// nonzero boundary-to-activation span and the saved-cycles equality is
-// exercised on nonzero numbers.
+// TestFusionStatsExact pins the accounting contract of fusion against the
+// pass plan itself: every pass fast-forwards to its checkpoint floor,
+// reconstructs the floor-to-activation cycles from deltas instead of
+// simulating them, and fuses with its neighbours when they share that
+// floor. The fault list is restricted to faults activating strictly
+// inside a window (act % k != 0, act > 0) so every pass has a nonzero
+// boundary-to-activation span and the saved-cycles count is exercised on
+// nonzero numbers.
 func TestFusionStatsExact(t *testing.T) {
 	const cycles, k = 240, 16
 	cpu := getCPU(t)
@@ -95,50 +97,55 @@ func TestFusionStatsExact(t *testing.T) {
 		t.Fatalf("only %d mid-window-activating faults; the fixture no longer exercises replay", len(faults))
 	}
 	opt := Options{Engine: EngineEvent, LaneWords: 1, Workers: 1, Sample: 256, Seed: 3}
-	fused, err := Simulate(cpu, g, faults, opt)
+	res, err := Simulate(cpu, g, faults, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.NoFusion = true
-	plain, err := Simulate(cpu, g, faults, opt)
+	plan, _, err := PlanPasses(cpu.Netlist, g, SampleFaults(faults, opt.Sample, opt.Seed), opt.Engine, opt.LaneWords)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, ps := fused.Stats, plain.Stats
 
-	// Identical plan: same passes at the same widths.
-	if fs.Passes != ps.Passes || fs.PassWidthHist != ps.PassWidthHist {
-		t.Fatalf("plans diverge: fused %d passes %v, unfused %d passes %v",
-			fs.Passes, fs.PassWidthHist, ps.Passes, ps.PassWidthHist)
+	var widths [widthSlots]int64
+	var ff, saved, fusedWins int64
+	runLen := 0
+	for i, j := range plan {
+		widths[widthLog2(j.Width)]++
+		floor := g.CheckpointFloor(j.Start)
+		ff += int64(floor)
+		saved += int64(j.Start - floor)
+		// A window is a maximal run of consecutive passes sharing a floor;
+		// count each run once, at its second pass.
+		if i > 0 && g.CheckpointFloor(plan[i-1].Start) == floor {
+			runLen++
+		} else {
+			runLen = 1
+		}
+		if runLen == 2 {
+			fusedWins++
+		}
 	}
-	// FastForwarded keeps its meaning (cycles skipped to the checkpoint
-	// boundary) in both modes and must be invariant under fusion.
-	if fs.FastForwarded != ps.FastForwarded {
-		t.Fatalf("FastForwarded: fused %d, unfused %d", fs.FastForwarded, ps.FastForwarded)
+	st := res.Stats
+	if st.Passes != int64(len(plan)) || st.PassWidthHist != widths {
+		t.Fatalf("ran %d passes %v, plan has %d passes %v", st.Passes, st.PassWidthHist, len(plan), widths)
 	}
-	// Fusion eliminates simulated replay entirely; the unfused reference
-	// must still pay it, and what it pays is exactly what fusion saves.
-	if fs.ReplayedCycles != 0 {
-		t.Fatalf("fused run replayed %d cycles, want 0", fs.ReplayedCycles)
+	if st.FastForwarded != ff {
+		t.Fatalf("FastForwarded = %d, want the plan's summed checkpoint floors %d", st.FastForwarded, ff)
 	}
-	if ps.ReplayedCycles <= 0 {
-		t.Fatalf("unfused run replayed %d cycles; fixture must make replay nonzero", ps.ReplayedCycles)
+	if saved <= 0 {
+		t.Fatalf("plan spans %d floor-to-activation cycles; fixture must make replay nonzero", saved)
 	}
-	if fs.ReplaySavedCycles != ps.ReplayedCycles {
-		t.Fatalf("ReplaySavedCycles = %d, want the unfused ReplayedCycles %d",
-			fs.ReplaySavedCycles, ps.ReplayedCycles)
+	if st.ReplaySavedCycles != saved {
+		t.Fatalf("ReplaySavedCycles = %d, want the plan's summed floor-to-activation spans %d", st.ReplaySavedCycles, saved)
 	}
-	// The fused run must actually have fused (multiple 64-lane passes land
-	// in one window here) and warm-restored.
-	if fs.FusedWindows < 1 {
-		t.Fatalf("FusedWindows = %d, want >= 1", fs.FusedWindows)
+	// The run must actually have fused (multiple 64-lane passes land in
+	// one window here) and warm-restored every pass after the first on
+	// its one simulator.
+	if fusedWins < 1 || st.FusedWindows != fusedWins {
+		t.Fatalf("FusedWindows = %d, want the plan's %d multi-pass windows (>= 1)", st.FusedWindows, fusedWins)
 	}
-	if fs.HookDiffs < 1 {
-		t.Fatalf("HookDiffs = %d, want >= 1", fs.HookDiffs)
-	}
-	// The unfused reference never touches the fusion counters.
-	if ps.FusedWindows != 0 || ps.ReplaySavedCycles != 0 || ps.HookDiffs != 0 {
-		t.Fatalf("unfused run reports fusion work: %+v", ps)
+	if st.HookDiffs != st.Passes-1 {
+		t.Fatalf("HookDiffs = %d, want %d (every pass after the first warm-restores)", st.HookDiffs, st.Passes-1)
 	}
 }
 

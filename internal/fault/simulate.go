@@ -49,14 +49,6 @@ type Options struct {
 	Seed int64
 	// Engine selects the simulation algorithm (default EngineEvent).
 	Engine Engine
-	// NoFusion disables checkpoint-window replay fusion. By default the
-	// differential engine groups consecutive passes whose start cycles
-	// share a checkpoint window, reconstructs each pass's golden start
-	// state by batched XOR-delta application (no simulated replay), and
-	// warm-restarts the simulator between passes by diffing hook sets and
-	// flip-flop state instead of Reset+LoadState+full re-sweep. The unfused
-	// path is bit-identical (asserted in tests) and kept as the reference.
-	NoFusion bool
 	// CollectInto, when non-nil, accumulates the run's SimStats (also
 	// available per run as Result.Stats) — useful for totals across
 	// multi-run benches.
@@ -199,21 +191,16 @@ func Simulate(cpu *plasma.CPU, golden *plasma.Golden, faults []Fault, opt Option
 
 	jobs, skipped := packPasses(cpu.Netlist, golden, faults, opt.Engine, maxW)
 	res.Stats.SkippedFaults = skipped
-	res.Stats.GoldenDenseBytes = golden.DenseStateBytes()
-	res.Stats.GoldenStoredBytes = golden.StoredStateBytes()
-	res.Stats.TraceDenseBytes = golden.DenseTraceBytes()
-	res.Stats.TraceStoredBytes = golden.StoredTraceBytes()
+	res.Stats.setGoldenBytes(golden)
 
-	// Replay fusion: the differential engine dispatches whole checkpoint
-	// windows (maximal runs of consecutive planned passes whose start
-	// cycles share a CheckpointFloor) instead of single passes, so one
-	// worker grades a window's passes back to back on a warm simulator off
-	// one rolling golden-state reconstruction. The oblivious engine packs
-	// everything at cycle 0 and replays nothing, so it keeps the unfused
-	// reference path.
-	fused := opt.Engine != EngineOblivious && golden.HasActivation() && !opt.NoFusion
+	// The differential engine dispatches whole checkpoint windows (maximal
+	// runs of consecutive planned passes whose start cycles share a
+	// CheckpointFloor) instead of single passes, so one worker grades a
+	// window's passes back to back on a warm simulator off one rolling
+	// golden-state reconstruction. The oblivious engine packs everything
+	// at cycle 0, so it dispatches single passes.
 	var windows [][]PassGroup
-	if fused {
+	if differential(opt.Engine, golden) {
 		windows = groupWindows(jobs, golden)
 	} else {
 		windows = make([][]PassGroup, len(jobs))
@@ -242,6 +229,8 @@ func Simulate(cpu *plasma.CPU, golden *plasma.Golden, faults []Fault, opt Option
 	}
 	close(queue)
 
+	// Each worker is a Warm grader: one simulator per pass width it sees,
+	// warm-restarted from window to window, and the only stats collector.
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	stats := make([]SimStats, workers)
@@ -249,65 +238,13 @@ func Simulate(cpu *plasma.CPU, golden *plasma.Golden, faults []Fault, opt Option
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// One simulator (and runner) per pass width actually seen;
-			// jobs of the same width reuse the same simulator.
-			var runners [widthSlots]*passRunner
-			var ws SimStats
-			var cur *stateCursor
-			if fused {
-				cur = &stateCursor{g: golden, buf: make([]uint64, golden.StateWords())}
-			}
+			wm := NewWarm(cpu, opt.Engine)
 			for win := range queue {
-				if fused && len(win) > 1 {
-					ws.FusedWindows++
-				}
-				for _, j := range win {
-					lg := widthLog2(j.Width)
-					r := runners[lg]
-					if r == nil {
-						var s *gate.Sim
-						var err error
-						if opt.Engine == EngineOblivious {
-							s, err = gate.NewSimWidth(cpu.Netlist, j.Width)
-						} else {
-							s, err = gate.NewEventSimWidth(cpu.Netlist, j.Width)
-						}
-						if err != nil {
-							errs[w] = err
-							return
-						}
-						r = newPassRunner(cpu, s, golden)
-						runners[lg] = r
-					}
-					var start []uint64
-					if fused {
-						start = cur.stateAt(j.Start)
-					}
-					r.runPass(faults, j, res.DetectedAt, res.SignatureGroups, start)
+				if errs[w] = wm.grade(golden, faults, win, res.DetectedAt, res.SignatureGroups); errs[w] != nil {
+					return
 				}
 			}
-			for lg, r := range runners {
-				if r == nil {
-					continue
-				}
-				if evals, events := r.sim.EvalStats(); r.sim.EventDriven() {
-					r.stats.GateEvals = int64(evals)
-					r.stats.Events = int64(events)
-				} else {
-					r.stats.GateEvals = r.stats.SimCycles * int64(r.sim.CombGates())
-				}
-				r.stats.GateEvalsByWidth[lg] = r.stats.GateEvals
-				ks := r.sim.KernelStats()
-				r.stats.SIMDKernelRuns = int64(ks.SIMDRuns)
-				r.stats.GenericKernelRuns = int64(ks.GenericRuns)
-				r.stats.SIMDRunsByWidth[lg] = int64(ks.SIMDRuns)
-				r.stats.GenericRunsByWidth[lg] = int64(ks.GenericRuns)
-				r.stats.BatchedGateEvals = int64(ks.BatchedGates)
-				r.stats.UniformFastPathHits = int64(ks.UniformHits)
-				r.stats.ScalarKernelEvals = int64(ks.ScalarEvals)
-				ws.Add(&r.stats)
-			}
-			stats[w] = ws
+			wm.collectStats(&stats[w])
 		}(w)
 	}
 	wg.Wait()
@@ -323,6 +260,15 @@ func Simulate(cpu *plasma.CPU, golden *plasma.Golden, faults []Fault, opt Option
 		opt.CollectInto.Add(&res.Stats)
 	}
 	return res, nil
+}
+
+// differential reports whether a golden grades under the differential
+// engine: passes packed by activation window, started from reconstructed
+// golden state, and detected lanes conformed back to the golden
+// trajectory. The oblivious engine, and a trace recorded without
+// activation metadata, pack every pass at cycle 0 and start it cold.
+func differential(engine Engine, g *plasma.Golden) bool {
+	return engine != EngineOblivious && g.HasActivation()
 }
 
 // packPasses groups faults into lane-parallel passes of up to 64*maxW
@@ -341,17 +287,17 @@ func Simulate(cpu *plasma.CPU, golden *plasma.Golden, faults []Fault, opt Option
 // minimizing estimated grading cost per fault over the chunk, from
 // measured per-width constants and the chunk's cone-signature overlap.
 func packPasses(n *gate.Netlist, golden *plasma.Golden, faults []Fault, engine Engine, maxW int) ([]PassGroup, int64) {
-	differential := engine != EngineOblivious && golden.HasActivation()
+	diff := differential(engine, golden)
 	order := make([]actFault, 0, len(faults))
 	var skipped int64
 	var cones []uint64
-	if differential {
+	if diff {
 		cones = n.FanoutConeSigs()
 	}
 	for i, f := range faults {
 		var act int32
 		var cone uint64
-		if differential {
+		if diff {
 			act = golden.ActivationCycle(n, f.Site)
 			if act < 0 {
 				skipped++
@@ -361,7 +307,7 @@ func packPasses(n *gate.Netlist, golden *plasma.Golden, faults []Fault, engine E
 		}
 		order = append(order, actFault{idx: i, act: act, cone: cone, comp: f.Comp})
 	}
-	if differential {
+	if diff {
 		// Quantize activation cycles into windows so cone grouping has
 		// room to work; a pass still fast-forwards to the true minimum
 		// activation of the faults it carries, so the quantization only
@@ -391,7 +337,7 @@ func packPasses(n *gate.Netlist, golden *plasma.Golden, faults []Fault, engine E
 	for lo := 0; lo < len(order); {
 		var w, hi int
 		var start int32
-		if differential {
+		if diff {
 			w, hi, start = chooseWidth(order, lo, maxW, golden)
 		} else {
 			rem := len(order) - lo
@@ -466,10 +412,11 @@ type passRunner struct {
 	golden *plasma.Golden
 	stats  SimStats
 
-	// warm marks a simulator that already graded a fused pass: its signal
-	// values satisfy the event invariant for some recent golden-adjacent
-	// state, so the next fused pass restores by diffing (ReplaceFaults +
-	// RestoreState) instead of the cold Reset+SetFaults+LoadState.
+	// warm marks a simulator that already graded a pass from a start
+	// state: its signal values satisfy the event invariant for some recent
+	// golden-adjacent state, so the next such pass restores by diffing
+	// (ReplaceFaults + RestoreState) instead of the cold
+	// Reset+SetFaults+LoadState.
 	warm bool
 
 	rdata   []gate.Sig
@@ -507,31 +454,25 @@ var spread = [2]uint64{0, ^uint64(0)}
 // writing each lane's outcome through the pass's original-index mapping.
 // Lane L lives in bit L%64 of lane word L/64 of every signal.
 //
-// Unfused (start == nil): a pass starting past cycle 0 is fast-forwarded
-// by loading the golden flip-flop snapshot at the nearest checkpoint
-// boundary at or before its earliest activation, then replaying the (at
-// most CheckpointK-1) golden cycles up to it on the already-warm event
-// simulator: before its earliest activation every faulty machine is
-// bit-identical to the golden machine, so nothing is lost at the boundary
-// and the replayed cycles generate only the golden machine's own switching
-// activity.
+// A nil start is a cold start at cycle 0: Reset, install the faults, and
+// simulate from reset. Only cycle-0 passes outside the differential engine
+// take it.
 //
-// Fused (start != nil): start is the golden flip-flop state entering
-// job.Start, reconstructed from the checkpoint trace by batched XOR-delta
-// application. The same bit-identity argument removes the simulated replay
-// outright — the faulty machines' state entering their earliest activation
-// *is* the golden state, the replayed cycles can produce no detection
-// (every output equals the golden trace by definition), so simulation
-// begins at job.Start directly. A warm simulator additionally restores by
-// diffing: ReplaceFaults swaps hook sets without a full invalidation and
-// RestoreState overwrites only the flip-flops that differ, so the next
-// Eval re-evaluates the changed cones instead of obliviously sweeping the
-// whole netlist as Reset+SetFaults+LoadState would force.
+// Otherwise start is the golden flip-flop state entering job.Start,
+// reconstructed from the checkpoint trace by batched XOR-delta
+// application, and simulation begins at job.Start directly: before its
+// earliest activation every faulty machine is bit-identical to the golden
+// machine, so the cycles before it can produce no detection. A warm
+// simulator restores by diffing: ReplaceFaults swaps hook sets without a
+// full invalidation and RestoreState overwrites only the flip-flops that
+// differ, so the next Eval re-evaluates the changed cones instead of
+// obliviously sweeping the whole netlist as Reset+SetFaults+LoadState
+// would force.
 //
-// When checkpoints are available, each detected lane is conformed back to
-// the golden trajectory (state overwrite + fault disarm) — sound because
-// detected lanes are masked out of all future detection logic — which
-// starves the event queue of its activity.
+// On the event-driven engine, a pass with a start state conforms each
+// detected lane back to the golden trajectory (state overwrite + fault
+// disarm) — sound because detected lanes are masked out of all future
+// detection logic — which starves the event queue of its activity.
 func (r *passRunner) runPass(faults []Fault, job PassGroup, detectedAt []int32, sigGroups []uint8, start []uint64) {
 	s := r.sim
 	w := s.LaneWords()
@@ -541,50 +482,35 @@ func (r *passRunner) runPass(faults []Fault, job PassGroup, detectedAt []int32, 
 	}
 	r.lf = lf
 	g := r.golden
-	conform := g.HasActivation() && s.EventDriven()
-	var ff int32
-	if start != nil {
-		ff = job.Start
-		boundary := g.CheckpointFloor(job.Start)
+	conform := start != nil && s.EventDriven()
+	if start == nil {
+		s.Reset()
+		s.SetFaults(lf)
+	} else {
 		if r.warm {
 			s.ReplaceFaults(lf)
 			s.RestoreState(g.DFFs, start)
 			r.stats.HookDiffs++
 		} else {
-			// First fused pass on this simulator: its construction state is
-			// all zeros (a fresh machine's reset state), so no Reset is
-			// needed before loading the start snapshot.
+			// First pass on this simulator: its construction state is all
+			// zeros (a fresh machine's reset state), so no Reset is needed
+			// before loading the start snapshot.
 			s.SetFaults(lf)
 			s.LoadState(g.DFFs, start)
 			r.warm = true
 		}
-		// FastForwarded keeps its unfused meaning (cycles skipped by
-		// jumping to the checkpoint boundary) so the counter is invariant
-		// under fusion; the boundary-to-activation cycles move from
-		// ReplayedCycles to ReplaySavedCycles.
+		// FastForwarded counts the cycles up to the checkpoint boundary;
+		// ReplaySavedCycles the boundary-to-activation cycles the delta
+		// reconstruction covers instead of simulation.
+		boundary := g.CheckpointFloor(job.Start)
 		r.stats.FastForwarded += int64(boundary)
 		r.stats.ReplaySavedCycles += int64(job.Start - boundary)
-	} else {
-		s.Reset()
-		s.SetFaults(lf)
-		if job.Start > 0 {
-			ff = g.CheckpointFloor(job.Start)
-			if ff > 0 {
-				s.LoadState(g.DFFs, g.Snapshot(ff))
-			}
-		}
-		r.stats.FastForwarded += int64(ff)
-		r.stats.ReplayedCycles += int64(job.Start - ff)
 	}
 	if conform {
 		if r.gstate == nil {
 			r.gstate = make([]uint64, g.StateWords())
 		}
-		if start != nil {
-			copy(r.gstate, start)
-		} else {
-			copy(r.gstate, g.Snapshot(ff))
-		}
+		copy(r.gstate, start)
 	}
 
 	r.stats.Passes++
@@ -606,7 +532,7 @@ func (r *passRunner) runPass(faults []Fault, job PassGroup, detectedAt []int32, 
 		}
 	}
 	var addrDiff, daDiff, strobeDiff, wdataDiff, laneWrites [gate.MaxLaneWords]uint64
-	for t := int(ff); t < g.Cycles; t++ {
+	for t := int(job.Start); t < g.Cycles; t++ {
 		r.stats.SimCycles++
 		s.SetBusUniform(plasma.PortRData, uint64(g.RDataAt(t)))
 		s.Eval()
@@ -750,4 +676,3 @@ func SampleFaults(faults []Fault, n int, seed int64) []Fault {
 	}
 	return sampled
 }
-

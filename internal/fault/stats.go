@@ -3,6 +3,8 @@ package fault
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/plasma"
 )
 
 // SimStats is the observability layer of a fault-simulation run: how much
@@ -26,19 +28,13 @@ type SimStats struct {
 	// the golden checkpoint boundary before their earliest fault
 	// activation.
 	FastForwarded int64
-	// ReplayedCycles is the number of golden cycles simulated between a
-	// pass's checkpoint boundary and its earliest fault activation: the
-	// price of sparse checkpoints, bounded by CheckpointK-1 per pass.
-	// Replay fusion eliminates these (see ReplaySavedCycles), so the
-	// counter is nonzero only with fusion disabled.
-	ReplayedCycles int64
 	// FusedWindows counts checkpoint windows that fused more than one pass
 	// onto one warm simulator; ReplaySavedCycles is the number of
-	// boundary-to-activation golden cycles those passes reconstructed by
-	// batched XOR-delta application instead of simulating (each one a cycle
-	// ReplayedCycles would otherwise count); HookDiffs counts warm-restart
-	// hook-set swaps (diff-patched fault installs on an already-valid
-	// simulator, replacing a full Reset+SetFaults+oblivious re-sweep).
+	// boundary-to-activation golden cycles passes reconstructed by batched
+	// XOR-delta application instead of simulating (at most CheckpointK-1
+	// per pass); HookDiffs counts warm-restart hook-set swaps (diff-patched
+	// fault installs on an already-valid simulator, replacing a full
+	// Reset+SetFaults+oblivious re-sweep).
 	FusedWindows      int64
 	ReplaySavedCycles int64
 	HookDiffs         int64
@@ -127,7 +123,6 @@ func (s *SimStats) Add(other *SimStats) {
 	}
 	s.SimCycles += other.SimCycles
 	s.FastForwarded += other.FastForwarded
-	s.ReplayedCycles += other.ReplayedCycles
 	s.FusedWindows += other.FusedWindows
 	s.ReplaySavedCycles += other.ReplaySavedCycles
 	s.HookDiffs += other.HookDiffs
@@ -162,6 +157,14 @@ func (s *SimStats) Add(other *SimStats) {
 	s.TraceStoredBytes += other.TraceStoredBytes
 	s.GoldenDenseBytes += other.GoldenDenseBytes
 	s.GoldenStoredBytes += other.GoldenStoredBytes
+}
+
+// setGoldenBytes records the golden trace's dense and stored sizes.
+func (s *SimStats) setGoldenBytes(g *plasma.Golden) {
+	s.GoldenDenseBytes = g.DenseStateBytes()
+	s.GoldenStoredBytes = g.StoredStateBytes()
+	s.TraceDenseBytes = g.DenseTraceBytes()
+	s.TraceStoredBytes = g.StoredTraceBytes()
 }
 
 // TraceCompression reports the golden bus-trace compression factor
@@ -215,7 +218,6 @@ func (s *SimStats) String() string {
 	fmt.Fprintf(&b, "evals by width    %s\n", widthHistString(&s.GateEvalsByWidth))
 	fmt.Fprintf(&b, "sim cycles        %d\n", s.SimCycles)
 	fmt.Fprintf(&b, "fast-forwarded    %d cycles\n", s.FastForwarded)
-	fmt.Fprintf(&b, "replayed          %d cycles (checkpoint boundary to first activation)\n", s.ReplayedCycles)
 	fmt.Fprintf(&b, "replay fusion     %d windows fused, %d replay cycles saved, %d hook-set diffs\n",
 		s.FusedWindows, s.ReplaySavedCycles, s.HookDiffs)
 	fmt.Fprintf(&b, "skipped faults    %d (never activated)\n", s.SkippedFaults)

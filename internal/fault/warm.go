@@ -99,27 +99,31 @@ func (w *Warm) Grade(golden *plasma.Golden, faults []Fault, plan []PassGroup, re
 	}
 	res.Faults = faults
 	res.Cycles = golden.Cycles
-	res.Stats.GoldenDenseBytes = golden.DenseStateBytes()
-	res.Stats.GoldenStoredBytes = golden.StoredStateBytes()
-	res.Stats.TraceDenseBytes = golden.DenseTraceBytes()
-	res.Stats.TraceStoredBytes = golden.StoredTraceBytes()
-
-	fused := w.engine != EngineOblivious && golden.HasActivation()
-	if fused {
-		// Rebind the rolling golden-state cursor to this request's trace.
-		// Same netlist, so the snapshot width never changes.
-		w.cursor.buf = grow(w.cursor.buf, golden.StateWords())
-		w.cursor.g = golden
-		w.cursor.ok = false
+	res.Stats.setGoldenBytes(golden)
+	if err := w.grade(golden, faults, plan, res.DetectedAt, res.SignatureGroups); err != nil {
+		return err
 	}
+	w.collectStats(&res.Stats)
+	return nil
+}
+
+// grade runs passes in order on the warm simulators, writing each fault's
+// outcome into detectedAt and sigGroups. It is the one pass loop behind
+// both entry points: Grade hands it a whole plan, and each Simulate worker
+// hands it one checkpoint window at a time. Work counters accumulate in
+// the runners until collectStats.
+func (w *Warm) grade(golden *plasma.Golden, faults []Fault, passes []PassGroup, detectedAt []int32, sigGroups []uint8) error {
+	diff := differential(w.engine, golden)
+	// Rebind the rolling golden-state cursor to this trace. Same netlist,
+	// so the snapshot width never changes.
+	w.cursor = stateCursor{g: golden, buf: grow(w.cursor.buf, golden.StateWords())}
 
 	warmed := false
-	// Window accounting mirrors Simulate's fused dispatch: consecutive
-	// passes sharing a checkpoint floor form one window; only the cursor
-	// needs to know, so no window slices are materialized.
+	// Consecutive passes sharing a checkpoint floor form one fused window;
+	// only the count needs to know, so no window slices are materialized.
 	var winFloor int32 = -1
 	var winLen int
-	for _, j := range plan {
+	for _, j := range passes {
 		lg := widthLog2(j.Width)
 		r := w.runners[lg]
 		if r == nil {
@@ -141,8 +145,10 @@ func (w *Warm) Grade(golden *plasma.Golden, faults []Fault, plan []PassGroup, re
 			warmed = true
 		}
 		var start []uint64
-		if fused {
+		if diff || j.Start > 0 {
 			start = w.cursor.stateAt(j.Start)
+		}
+		if diff {
 			if f := golden.CheckpointFloor(j.Start); f != winFloor || winLen == 0 {
 				winFloor, winLen = f, 1
 			} else {
@@ -152,12 +158,11 @@ func (w *Warm) Grade(golden *plasma.Golden, faults []Fault, plan []PassGroup, re
 				}
 			}
 		}
-		r.runPass(faults, j, res.DetectedAt, res.SignatureGroups, start)
+		r.runPass(faults, j, detectedAt, sigGroups, start)
 	}
 	if warmed {
 		w.WarmGrades++
 	}
-	w.collectStats(&res.Stats)
 	return nil
 }
 

@@ -9,11 +9,11 @@ import (
 
 // warmTestPlan samples the universe and plans it against a golden the way
 // a grading service would: sample once, plan once, grade many times.
-func warmTestPlan(t *testing.T, g *plasma.Golden, sample int) ([]Fault, []PassGroup) {
+func warmTestPlan(t *testing.T, g *plasma.Golden, sample, laneWords int) ([]Fault, []PassGroup) {
 	t.Helper()
 	cpu := getCPU(t)
 	faults := SampleFaults(Universe(cpu.Netlist), sample, 1)
-	plan, _, err := PlanPasses(cpu.Netlist, g, faults, EngineEvent, 0)
+	plan, _, err := PlanPasses(cpu.Netlist, g, faults, EngineEvent, laneWords)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +33,27 @@ func requireSameOutcomes(t *testing.T, label string, got, want *Result) {
 	}
 }
 
+// requireSameWork requires two runs of one plan to have done identical
+// work: every SimStats counter — passes, cycles, restores, evaluator and
+// kernel activity, drop and exit histograms — except SkippedFaults, which
+// is plan-time knowledge a Warm.Grade caller adds itself.
+func requireSameWork(t *testing.T, label string, got, want *SimStats) {
+	t.Helper()
+	g, w := *got, *want
+	g.SkippedFaults, w.SkippedFaults = 0, 0
+	if g != w {
+		t.Fatalf("%s: work counters differ:\nwarm     %+v\nSimulate %+v", label, g, w)
+	}
+}
+
 // TestWarmGradeMatchesSimulate grades two different programs repeatedly,
 // interleaved, on ONE Warm grader — the grading-service steady state,
 // where every request after the first restores warm simulators by hook
 // and state diffs — and requires each grade bit-identical to a fresh
-// in-process Simulate of the same golden and faults.
+// in-process Simulate of the same golden and faults. The grader's first
+// grade starts from the same empty state as Simulate's single worker, so
+// it must also have done exactly the same work: both entry points run one
+// pass loop.
 func TestWarmGradeMatchesSimulate(t *testing.T) {
 	cpu := getCPU(t)
 	gA := captureTestGolden(t, equivTestProgram, 400)
@@ -46,10 +62,12 @@ func TestWarmGradeMatchesSimulate(t *testing.T) {
 	if testing.Short() {
 		sample = 96
 	}
-	faultsA, planA := warmTestPlan(t, gA, sample)
-	faultsB, planB := warmTestPlan(t, gB, sample)
+	// Program A plans at one-word lanes, so its grade runs several passes
+	// on one simulator and exercises the restore and fusion counters.
+	faultsA, planA := warmTestPlan(t, gA, sample, 1)
+	faultsB, planB := warmTestPlan(t, gB, sample, 0)
 
-	wantA, err := Simulate(cpu, gA, faultsA, Options{Workers: 1})
+	wantA, err := Simulate(cpu, gA, faultsA, Options{Workers: 1, LaneWords: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +84,9 @@ func TestWarmGradeMatchesSimulate(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSameOutcomes(t, "golden A", &res, wantA)
+		if round == 0 {
+			requireSameWork(t, "golden A", &res.Stats, &wantA.Stats)
+		}
 		GrowResult(&res, faultsB)
 		if err := w.Grade(gB, faultsB, planB, &res); err != nil {
 			t.Fatal(err)
@@ -103,7 +124,7 @@ func TestWarmConcurrentSharedPlan(t *testing.T) {
 	if testing.Short() {
 		sample = 96
 	}
-	faults, plan := warmTestPlan(t, g, sample)
+	faults, plan := warmTestPlan(t, g, sample, 0)
 	want, err := Simulate(cpu, g, faults, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)

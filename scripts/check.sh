@@ -1,6 +1,8 @@
 #!/bin/sh
-# check.sh — the repo's tier-1 verification gate plus a short race pass
-# of the concurrency-bearing packages. Run from the repository root:
+# check.sh — the repo's tier-1 verification gate, a compile-and-test pass
+# of the nested benchmark module (which imports internal/fault and would
+# otherwise go unbuilt), and a short race pass of the concurrency-bearing
+# packages. Run from the repository root:
 #
 #   ./scripts/check.sh          # build, vet, full tests, race pass
 #   ./scripts/check.sh -short   # same, with -short tests
@@ -31,6 +33,9 @@ go vet ./...
 
 echo "== go test $short ./..."
 go test $short ./...
+
+echo "== (cd benchmark && go vet ./... && go test ./...) (nested benchmark module)"
+(cd benchmark && go vet ./... && go test ./...)
 
 echo "== go test -race -short ./internal/gate ./internal/fault ./internal/shard ./internal/serve ./internal/cache"
 go test -race -short ./internal/gate ./internal/fault ./internal/shard ./internal/serve ./internal/cache
