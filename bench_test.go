@@ -32,8 +32,9 @@ import (
 )
 
 // TestMain lets this test binary double as a shard-grading worker and as
-// a cold-start grading process: the coordinator benchmarks re-execute it
-// with the worker environment marker set (ServeIfWorker takes over), and
+// a cold-start grading process: the coordinator tests and benchmarks
+// re-execute it with a worker environment marker set (ServeIfWorker
+// takes over), and
 // BenchmarkServeThroughput's baseline re-executes it with the cold-grade
 // marker so each request pays a real process start.
 func TestMain(m *testing.M) {
@@ -211,9 +212,9 @@ func fcOf(r *fault.Report) float64 {
 }
 
 // TestTable5ShardedEquivalence is the sharding acceptance criterion on
-// the real workload: grading the Table 5 Phase A program across 4 worker
-// subprocesses must reproduce the unsharded run's coverage, DetectedAt
-// and SignatureGroups bit for bit.
+// the real workload: grading the Table 5 Phase A program across 4 local
+// session subprocesses (the -shards 4 host list) must reproduce the
+// unsharded run's coverage, DetectedAt and SignatureGroups bit for bit.
 func TestTable5ShardedEquivalence(t *testing.T) {
 	e := benchEnv(t)
 	g, err := e.Golden(core.PhaseA)
@@ -228,16 +229,20 @@ func TestTable5ShardedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := shard.Grade(e.CPU, g, e.Faults(), shard.Options{
-		Shards: 4,
+	hosts, err := shard.LocalHosts(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := shard.GradeDist(e.CPU, g, e.Faults(), shard.DistOptions{
+		Hosts:  hosts,
 		Sample: opt.Sample,
 		Seed:   opt.Seed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Fallbacks != 0 {
-		t.Fatalf("sharded run fell back in-process: %+v", stats)
+	if got.Stats.DistHosts != 4 {
+		t.Fatalf("graded on %d live sessions, want 4", got.Stats.DistHosts)
 	}
 	if got.Cycles != want.Cycles || len(got.Faults) != len(want.Faults) {
 		t.Fatalf("shape mismatch: %d faults/%d cycles vs %d/%d",
@@ -256,10 +261,11 @@ func TestTable5ShardedEquivalence(t *testing.T) {
 }
 
 // BenchmarkTable5FaultCoverageSharded is BenchmarkTable5FaultCoverage with
-// every grading call fanned out across 4 worker subprocesses of this test
-// binary (see TestMain) through the internal/shard coordinator. The
-// artifact cache is shared across iterations, so after the first shipment
-// workers load the netlist and golden trace from disk. Results are
+// every grading call fanned out across 4 local session subprocesses of
+// this test binary (see TestMain) through the internal/shard coordinator.
+// The sessions open the coordinator's artifact cache, which is shared
+// across iterations, so workers load the netlist and golden trace from
+// disk and nothing is pushed over the session. Results are
 // bit-identical to the unsharded bench; the wall-clock ratio against
 // BenchmarkTable5FaultCoverage measures the sharding overhead or speedup
 // on this machine's core count.
@@ -269,9 +275,13 @@ func BenchmarkTable5FaultCoverageSharded(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	hosts, err := shard.LocalHosts(4)
+	if err != nil {
+		b.Fatal(err)
+	}
 	e.Grader = func(cpu *plasma.CPU, golden *plasma.Golden, faults []fault.Fault, opt fault.Options) (*fault.Result, error) {
-		res, _, err := shard.Grade(cpu, golden, faults, shard.Options{
-			Shards:    4,
+		res, _, err := shard.GradeDist(cpu, golden, faults, shard.DistOptions{
+			Hosts:     hosts,
 			Engine:    opt.Engine,
 			LaneWords: opt.LaneWords,
 			Workers:   opt.Workers,

@@ -28,22 +28,20 @@
 // and golden traces across runs, bounded by -cache-max-bytes (LRU, 0 =
 // unbounded); -cpuprofile/-memprofile write pprof profiles.
 //
-// -shards N > 1 routes every fault simulation through the sharded
-// multi-process coordinator (internal/shard): each grading call fans out
-// across N worker processes of this binary and merges to a result
-// bit-identical to the in-process path. -shard-timeout bounds one worker
-// attempt's wall clock (0 = the coordinator's default), and -stats folds
-// the shard counters (launches, retries, bytes shipped, per-shard wall
-// clock) and the gate-kernel dispatch counters (SIMD vs generic runs,
-// batched gates, fast-path hits) into the cumulative statistics block.
-//
-// -hosts routes every fault simulation through the multi-host
-// distributed coordinator instead (see sbst -hosts for the spec syntax
-// and worker modes): artifacts replicate to each worker's cache at most
-// once per content hash, host capacities come from "=WEIGHT" suffixes or
-// -calibrate, and -stats additionally folds in the distributed counters
-// (live hosts, straggler re-dispatches, ship and merge wall clock).
-// Results stay bit-identical to the in-process path.
+// -hosts routes every fault simulation through the shard coordinator
+// (internal/shard; see sbst -hosts for the spec syntax and worker
+// modes): artifacts replicate to each worker's cache at most once per
+// content hash, host capacities come from "=WEIGHT" suffixes or
+// -calibrate, and each grading call merges to a result bit-identical to
+// the in-process path. -shards N > 1 is the same coordinator over N
+// local sessions of this binary, which open the coordinator's cache.
+// -shard-timeout bounds one dispatch attempt's wall clock (0 = the
+// coordinator's default), and -stats folds the shard counters (live
+// hosts, dispatches, retries, bytes pushed, straggler re-dispatches,
+// ship and merge wall clock) and the gate-kernel dispatch counters (SIMD
+// vs generic runs, batched gates, fast-path hits) into the cumulative
+// statistics block. -shards and -hosts are mutually exclusive, and
+// -server excludes both.
 package main
 
 import (
@@ -142,27 +140,22 @@ func main() {
 		opt.CollectInto = &simStats
 	}
 
-	// With -shards > 1, every fault simulation in the harness goes through
-	// the sharded coordinator instead of in-process fault.Simulate. The
-	// shard stats merged into Result.Stats flow into -stats via CollectInto.
-	// With -server, they instead travel to a warm-state grading daemon
-	// (internal/serve), which memoizes goldens and plans per program and
-	// grades on persistent simulators; results stay bit-identical.
+	// With -hosts or -shards > 1, every fault simulation in the harness
+	// goes through the shard coordinator instead of in-process
+	// fault.Simulate. The shard stats merged into Result.Stats flow into
+	// -stats via CollectInto. With -server, they instead travel to a
+	// warm-state grading daemon (internal/serve), which memoizes goldens
+	// and plans per program and grades on persistent simulators; results
+	// stay bit-identical.
 	var grader func(cpu *plasma.CPU, golden *plasma.Golden, faults []fault.Fault, opt fault.Options) (*fault.Result, error)
-	exclusive := 0
-	for _, on := range []bool{*server != "", *shards > 1, *hosts != ""} {
-		if on {
-			exclusive++
-		}
+	specs, err := shard.FlagHosts(*hosts, *shards)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if exclusive > 1 {
+	if *server != "" && specs != nil {
 		log.Fatal("-server, -shards and -hosts are mutually exclusive")
 	}
-	if *hosts != "" {
-		specs, err := shard.ParseHosts(*hosts)
-		if err != nil {
-			log.Fatal(err)
-		}
+	if specs != nil {
 		grader = func(cpu *plasma.CPU, golden *plasma.Golden, faults []fault.Fault, opt fault.Options) (*fault.Result, error) {
 			res, _, err := shard.GradeDist(cpu, golden, faults, shard.DistOptions{
 				Hosts:     specs,
@@ -191,27 +184,6 @@ func main() {
 		}
 		defer client.Close()
 		grader = client.Grader()
-	}
-	if *shards > 1 {
-		grader = func(cpu *plasma.CPU, golden *plasma.Golden, faults []fault.Fault, opt fault.Options) (*fault.Result, error) {
-			res, _, err := shard.Grade(cpu, golden, faults, shard.Options{
-				Shards:    *shards,
-				Timeout:   *shardTimeout,
-				Engine:    opt.Engine,
-				LaneWords: opt.LaneWords,
-				Workers:   opt.Workers,
-				Sample:    opt.Sample,
-				Seed:      opt.Seed,
-				Cache:     disk,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if opt.CollectInto != nil {
-				opt.CollectInto.Add(&res.Stats)
-			}
-			return res, nil
-		}
 	}
 
 	if plasma.VariantByName(*variant) == nil {

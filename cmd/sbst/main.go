@@ -7,7 +7,8 @@
 //	sbst -phase A|B|C [-lib native-0.35um-A|nand2-0.35um-B]
 //	     [-emit] [-listing] [-faultsim] [-sample N] [-seed S]
 //	     [-workers W] [-engine event|oblivious] [-lanes W] [-stats]
-//	     [-shards N] [-shard-timeout D] [-shard-worker]
+//	     [-shards N] [-hosts SPEC] [-calibrate] [-shard-timeout D]
+//	     [-shard-serve ADDR] [-shard-session]
 //	     [-checkpoint-k K] [-cache DIR] [-cache-max-bytes N]
 //	     [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -28,26 +29,25 @@
 // each store; 0 = unbounded). -cpuprofile/-memprofile write pprof
 // profiles.
 //
-// -shards N > 1 grades the fault universe across N worker processes of
-// this same binary (bit-identical to -shards 1; see internal/shard):
-// each failed worker is retried once, -shard-timeout bounds a worker
-// attempt's wall clock, and the netlist + golden trace are shipped once
-// through the artifact cache (-cache when set, else a temporary
-// directory). -shard-worker runs this process as a one-shot protocol
-// worker on stdin/stdout (the coordinator normally triggers the same
-// mode via the SBST_SHARD_WORKER environment variable).
+// -hosts distributes the grading across worker hosts (bit-identical to
+// in-process grading; see internal/shard): a comma-separated list of TCP
+// addresses of hosts running `sbst -shard-serve ADDR`, or exec argvs
+// prefixed with "exec:" (an ssh wrapper like `exec:ssh h2 sbst
+// -shard-session` turns any machine with the binary into a worker), each
+// optionally suffixed "=WEIGHT" with the host's relative capacity. The
+// netlist, CPU sidecar and golden trace replicate to each worker's cache
+// push-on-miss — each content hash ships at most once per worker — and
+// -calibrate derives missing weights from a short calibration kernel per
+// host. Each failed dispatch is retried once, and -shard-timeout bounds
+// one attempt's wall clock. -shard-serve and -shard-session run this
+// process as the worker side (TCP daemon / one stdio session), with
+// -cache naming the worker's artifact cache.
 //
-// -hosts distributes the grading across remote worker hosts instead
-// (still bit-identical): a comma-separated list of TCP addresses of
-// hosts running `sbst -shard-serve ADDR`, or exec argvs prefixed with
-// "exec:" (an ssh wrapper like `exec:ssh h2 sbst -shard-session` turns
-// any machine with the binary into a worker), each optionally suffixed
-// "=WEIGHT" with the host's relative capacity. The netlist, CPU sidecar
-// and golden trace replicate to each worker's cache push-on-miss — each
-// content hash ships at most once per worker — and -calibrate derives
-// missing weights from a short calibration kernel per host. -shard-serve
-// and -shard-session run this process as the worker side (TCP daemon /
-// one stdio session), with -cache naming the worker's artifact cache.
+// -shards N > 1 is the same coordinator over N local sessions: N child
+// processes of this binary that open the coordinator's artifact cache
+// (-cache when set, else a temporary directory), so nothing is pushed.
+// -shards and -hosts are mutually exclusive; -shards 1 grades
+// in-process.
 package main
 
 import (
@@ -99,7 +99,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print fault-simulation work statistics")
 	shards := flag.Int("shards", 1, "fault-grading worker processes (1 = in-process)")
 	shardTimeout := flag.Duration("shard-timeout", 0, "per-shard-worker wall-clock budget (0 = default)")
-	shardWorker := flag.Bool("shard-worker", false, "serve one shard-grading request on stdin/stdout and exit")
 	hosts := flag.String("hosts", "", "distribute grading across remote hosts: addr[=weight],exec:argv[=weight],...")
 	calibrate := flag.Bool("calibrate", false, "derive missing -hosts weights from a per-host calibration kernel")
 	shardServe := flag.String("shard-serve", "", "serve distributed-grading sessions on this TCP address")
@@ -111,12 +110,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	if *shardWorker {
-		if err := shard.RunWorker(os.Stdin, os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *shardSession {
 		if err := shard.ServeSessionStdio(*cacheDir); err != nil {
 			log.Fatal(err)
@@ -131,6 +124,10 @@ func main() {
 	}
 
 	eng, err := parseEngine(*engine)
+	if err != nil {
+		log.Fatal(err)
+	}
+	gradeHosts, err := shard.FlagHosts(*hosts, *shards)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -255,16 +252,10 @@ func main() {
 		fmt.Printf("\nfault universe: %d collapsed / %d total stuck-at faults\n",
 			len(faults), fault.TotalEquiv(faults))
 		var res *fault.Result
-		var shardStats *shard.Stats
 		var distStats *shard.DistStats
-		switch {
-		case *hosts != "":
-			specs, err2 := shard.ParseHosts(*hosts)
-			if err2 != nil {
-				log.Fatal(err2)
-			}
+		if gradeHosts != nil {
 			res, distStats, err = shard.GradeDist(cpu, golden, faults, shard.DistOptions{
-				Hosts:     specs,
+				Hosts:     gradeHosts,
 				Timeout:   *shardTimeout,
 				Engine:    eng,
 				LaneWords: *lanes,
@@ -274,18 +265,7 @@ func main() {
 				Cache:     disk,
 				Calibrate: *calibrate,
 			})
-		case *shards > 1:
-			res, shardStats, err = shard.Grade(cpu, golden, faults, shard.Options{
-				Shards:    *shards,
-				Timeout:   *shardTimeout,
-				Engine:    eng,
-				LaneWords: *lanes,
-				Workers:   *workers,
-				Sample:    *sample,
-				Seed:      *seed,
-				Cache:     disk,
-			})
-		default:
+		} else {
 			opt := fault.Options{Sample: *sample, Seed: *seed, Workers: *workers, Engine: eng, LaneWords: *lanes}
 			res, err = fault.Simulate(cpu, golden, faults, opt)
 		}
@@ -296,9 +276,6 @@ func main() {
 		if *stats {
 			fmt.Printf("\nsimulation statistics (engine=%s, simd=%s):\n%s\n",
 				*engine, gate.SIMDKernelName(), res.Stats.String())
-			if shardStats != nil {
-				fmt.Printf("\nsharding statistics (%d shards requested):\n%s\n", *shards, shardStats.String())
-			}
 			if distStats != nil {
 				fmt.Printf("\ndistributed grading statistics:\n%s\n", distStats.String())
 			}

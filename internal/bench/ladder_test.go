@@ -17,9 +17,9 @@ import (
 	"repro/internal/synth"
 )
 
-// TestMain makes this test binary a valid shard worker for SelfSpawner,
-// so the bit-identity matrix below can exercise the sharded grading path
-// the same way cmd/sbst does.
+// TestMain makes this test binary a valid shard session worker for
+// shard.LocalHosts, so the bit-identity matrix below can exercise the
+// sharded grading path the same way cmd/sbst -shards does.
 func TestMain(m *testing.M) {
 	shard.ServeIfWorker()
 	os.Exit(m.Run())
@@ -188,8 +188,12 @@ func TestLadderBitIdentity(t *testing.T) {
 			for _, c := range cfgs {
 				var res *fault.Result
 				if c.shards > 1 {
-					res, _, err = shard.Grade(e.CPU, golden, faults, shard.Options{
-						Shards:    c.shards,
+					var hosts []shard.HostSpec
+					if hosts, err = shard.LocalHosts(c.shards); err != nil {
+						t.Fatal(err)
+					}
+					res, _, err = shard.GradeDist(e.CPU, golden, faults, shard.DistOptions{
+						Hosts:     hosts,
 						Engine:    c.opt.Engine,
 						LaneWords: c.opt.LaneWords,
 					})

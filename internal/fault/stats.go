@@ -59,28 +59,25 @@ type SimStats struct {
 	// run-out) by golden-run decile.
 	ExitHist [10]int64
 	// Sharded-grading counters, populated by the internal/shard
-	// coordinator (zero for in-process runs). ShardsLaunched counts worker
-	// processes spawned, including retries; ShardsRetried counts shards
-	// whose first attempt failed and were retried; ShardsFailed counts
-	// failed worker attempts (crash, timeout, bad frame); ShardsFallback
-	// counts shards graded in-process after spawning failed.
+	// coordinator (zero for in-process runs). ShardsLaunched counts grade
+	// dispatches sent to worker sessions, retries and straggler duplicates
+	// included; ShardsRetried counts second attempts after a failure;
+	// ShardsFailed counts failed attempts (crash, timeout, bad frame,
+	// worker-side error).
 	ShardsLaunched int64
 	ShardsRetried  int64
 	ShardsFailed   int64
-	ShardsFallback int64
-	// ShardBytesShipped is the artifact bytes written to ship the netlist
-	// and golden trace to workers (0 when already present in the cache).
+	// ShardBytesShipped is the artifact bytes pushed into worker caches (0
+	// when every worker already held them).
 	ShardBytesShipped int64
-	// ShardWallNs sums per-shard wall-clock nanoseconds (the cost a
-	// serial machine would pay); the coordinator's own wall-clock is the
-	// slowest shard, reported separately by shard.Stats.
+	// ShardWallNs sums per-dispatch wall-clock nanoseconds as the
+	// coordinator saw them (the cost a serial machine would pay).
 	ShardWallNs int64
-	// Distributed-grading counters, populated by the internal/shard
-	// multi-host coordinator (zero otherwise). DistHosts counts live
-	// remote hosts the run graded on; DistRedispatched counts duplicate
-	// straggler dispatches to idle hosts; DistShipNs is the wall clock the
-	// coordinator spent replicating artifacts to worker caches; DistMergeNs
-	// is the wall clock spent merging shard results.
+	// DistHosts counts live worker hosts the run graded on;
+	// DistRedispatched counts duplicate straggler dispatches to idle hosts;
+	// DistShipNs is the wall clock the coordinator spent replicating
+	// artifacts to worker caches; DistMergeNs is the wall clock spent
+	// merging shard results.
 	DistHosts        int64
 	DistRedispatched int64
 	DistShipNs       int64
@@ -137,7 +134,6 @@ func (s *SimStats) Add(other *SimStats) {
 	s.ShardsLaunched += other.ShardsLaunched
 	s.ShardsRetried += other.ShardsRetried
 	s.ShardsFailed += other.ShardsFailed
-	s.ShardsFallback += other.ShardsFallback
 	s.ShardBytesShipped += other.ShardBytesShipped
 	s.ShardWallNs += other.ShardWallNs
 	s.DistHosts += other.DistHosts
@@ -235,16 +231,12 @@ func (s *SimStats) String() string {
 		s.TraceStoredBytes, s.TraceDenseBytes, s.TraceCompression())
 	fmt.Fprintf(&b, "golden trace      %d B stored, %d B dense-equivalent (%.1fx smaller)",
 		s.GoldenStoredBytes, s.GoldenDenseBytes, s.GoldenCompression())
-	if s.ShardsLaunched > 0 || s.ShardsFallback > 0 {
-		fmt.Fprintf(&b, "\nshard workers     %d launched, %d retried, %d failed, %d in-process fallbacks",
-			s.ShardsLaunched, s.ShardsRetried, s.ShardsFailed, s.ShardsFallback)
-		fmt.Fprintf(&b, "\nshard shipping    %d B artifacts written", s.ShardBytesShipped)
-		fmt.Fprintf(&b, "\nshard wall-clock  %.3fs summed across shards", float64(s.ShardWallNs)/1e9)
-	}
 	if s.DistHosts > 0 {
-		fmt.Fprintf(&b, "\ndist hosts        %d live, %d straggler re-dispatches", s.DistHosts, s.DistRedispatched)
-		fmt.Fprintf(&b, "\ndist wall-clock   %.3fs shipping artifacts, %.3fs merging",
-			float64(s.DistShipNs)/1e9, float64(s.DistMergeNs)/1e9)
+		fmt.Fprintf(&b, "\nshard hosts       %d live, %d dispatches (%d retried, %d failed, %d straggler re-dispatches)",
+			s.DistHosts, s.ShardsLaunched, s.ShardsRetried, s.ShardsFailed, s.DistRedispatched)
+		fmt.Fprintf(&b, "\nshard shipping    %d B pushed in %.3fs", s.ShardBytesShipped, float64(s.DistShipNs)/1e9)
+		fmt.Fprintf(&b, "\nshard wall-clock  %.3fs summed across dispatches, %.3fs merging",
+			float64(s.ShardWallNs)/1e9, float64(s.DistMergeNs)/1e9)
 	}
 	return b.String()
 }

@@ -9,7 +9,8 @@
 // synthesis, capture, plan, or simulator construction.
 //
 // The wire protocol reuses internal/shard's length-prefixed CRC-guarded
-// gob framing (shard.WriteFrame/ReadFrame). A connection opens with one
+// gob framing (one persistent shard.Encoder/Decoder stream per direction).
+// A connection opens with one
 // server-to-client Info frame describing the immutable state; after that
 // the client writes Request frames and reads one Response frame per
 // request, in order. Concurrency comes from concurrent connections: the

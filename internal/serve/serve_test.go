@@ -339,9 +339,9 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	br := bufio.NewReader(conn)
+	dec := shard.NewDecoder(bufio.NewReader(conn))
 	var info Info
-	if err := shard.ReadFrame(br, &info); err != nil {
+	if err := dec.ReadFrame(&info); err != nil {
 		t.Fatal(err)
 	}
 	g, err := plasma.CaptureGolden(testCPU(t), assemble(t, progLoop), testCycles)
@@ -351,7 +351,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	req := Request{Seq: 1, ProgOrigin: g.ProgOrigin, ProgWords: g.ProgWords,
 		Cycles: testCycles, Sample: 512, Seed: 1}
 	bw := bufio.NewWriter(conn)
-	if err := shard.WriteFrame(bw, &req); err != nil {
+	if err := shard.NewEncoder(bw).WriteFrame(&req); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -365,7 +365,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	shutdownDone := make(chan error, 1)
 	go func() { shutdownDone <- srv.Shutdown(30 * time.Second) }()
 	var resp Response
-	if err := shard.ReadFrame(br, &resp); err != nil {
+	if err := dec.ReadFrame(&resp); err != nil {
 		t.Fatalf("in-flight response lost during drain: %v", err)
 	}
 	if resp.Err != "" || resp.Seq != 1 {

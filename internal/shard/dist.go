@@ -16,16 +16,19 @@ import (
 	"repro/internal/plasma"
 )
 
-// Multi-host distributed grading coordinator. GradeDist extends the
-// subprocess sharding of Grade across machines: each host runs a
-// persistent worker session (remote.go) on its own artifact cache, the
-// coordinator replicates the netlist/CPU/golden artifacts push-on-miss,
-// partitions the pass plan by host capacity (weighted LPT), dispatches
-// one shard per host, re-dispatches the longest-running outstanding
-// shard to any host that goes idle (first bit-identical result wins),
-// and merges with fault.MergeShards — the same never-a-partial-merge
-// contract as Grade: a shard whose primary attempts fail twice with no
-// duplicate to cover it fails the whole run.
+// The grading coordinator. Each host runs a persistent worker session
+// (remote.go) on its own artifact cache, the coordinator replicates the
+// netlist/CPU/golden artifacts push-on-miss, partitions the pass plan by
+// host capacity (weighted LPT), dispatches one shard per host,
+// re-dispatches the longest-running outstanding shard to any host that
+// goes idle (first bit-identical result wins), and merges with
+// fault.MergeShards. A partial merge is never returned: a shard whose
+// primary attempts fail twice with no duplicate to cover it fails the
+// whole run.
+
+// DefaultTimeout is the per-attempt wall-clock budget when
+// DistOptions.Timeout is zero.
+const DefaultTimeout = 15 * time.Minute
 
 // HostSpec describes one remote worker host.
 type HostSpec struct {
@@ -34,10 +37,12 @@ type HostSpec struct {
 	Addr string
 	// Argv, when non-empty, makes this an exec host: the argv is spawned
 	// with the session environment marker set and the session runs over
-	// its stdin/stdout. An ssh wrapper argv ("ssh h2 sbst -shard-session")
-	// turns any reachable machine running the same binary into a worker —
-	// environment does not cross ssh, hence the explicit flag on the
-	// remote end.
+	// its stdin/stdout. EnvCacheDir is set to the coordinator's cache
+	// directory, so a local child shares it. An ssh wrapper argv ("ssh h2
+	// sbst -shard-session") turns any reachable machine running the same
+	// binary into a worker — environment does not cross ssh, hence the
+	// explicit flag on the remote end, and the remote worker keeps its own
+	// cache.
 	Argv []string
 	// Weight is the host's relative grading capacity for the partitioner;
 	// 0 means 1, or the calibrated value when DistOptions.Calibrate is
@@ -101,6 +106,36 @@ func ParseHosts(spec string) ([]HostSpec, error) {
 	return out, nil
 }
 
+// LocalHosts returns n exec hosts that each re-execute the running
+// binary as a session worker: the host list of `-shards N`. The binary
+// must call ServeIfWorker first thing in main (or TestMain).
+func LocalHosts(n int) ([]HostSpec, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("shard: resolve own binary: %w", err)
+	}
+	hosts := make([]HostSpec, n)
+	for i := range hosts {
+		hosts[i] = HostSpec{Argv: []string{exe}}
+	}
+	return hosts, nil
+}
+
+// FlagHosts builds the host list of the -hosts and -shards CLI flags:
+// the parsed -hosts spec, or LocalHosts(shards) when shards > 1, or nil
+// (grade in-process) when neither is set. Setting both is an error.
+func FlagHosts(hosts string, shards int) ([]HostSpec, error) {
+	switch {
+	case hosts != "" && shards > 1:
+		return nil, fmt.Errorf("-shards and -hosts are mutually exclusive (-shards N is N local exec hosts)")
+	case hosts != "":
+		return ParseHosts(hosts)
+	case shards > 1:
+		return LocalHosts(shards)
+	}
+	return nil, nil
+}
+
 // DistOptions tunes a distributed grading run.
 type DistOptions struct {
 	// Hosts are the remote workers. A host that cannot be dialed is
@@ -111,7 +146,7 @@ type DistOptions struct {
 	// artifact pushes (0 = DefaultTimeout).
 	Timeout time.Duration
 	// Engine, LaneWords and Workers pass through to each host's
-	// fault.Simulate, exactly as in Options.
+	// fault.Simulate, as in fault.Options.
 	Engine    fault.Engine
 	LaneWords int
 	Workers   int
@@ -121,6 +156,7 @@ type DistOptions struct {
 	// Cache is the coordinator-side artifact store the replication pushes
 	// read from. nil uses a private temporary directory; a persistent
 	// cache plus persistent worker caches make re-grades ship zero bytes.
+	// Local exec hosts open this directory themselves and ship nothing.
 	Cache *cache.Cache
 	// Calibrate derives the weight of hosts without an explicit spec
 	// weight from a short calibration kernel run on each (weight =
@@ -196,12 +232,14 @@ func (s *DistStats) String() string {
 	return b.String()
 }
 
-// GradeDist fault-simulates a fault list across remote worker hosts and
-// merges the per-shard detections with fault.MergeShards. The merged
+// GradeDist fault-simulates a fault list across worker hosts and merges
+// the per-shard detections with fault.MergeShards. The merged
 // DetectedAt, SignatureGroups and coverage are bit-identical to an
-// unsharded fault.Simulate of the same options, exactly as with Grade —
-// which is also what makes straggler duplicates safe: any host's result
-// for a shard is the same bits, so the first one to arrive wins.
+// unsharded fault.Simulate of the same options (asserted by the
+// package's equivalence tests): per-fault outcomes do not depend on pass
+// packing, and the partition only regroups passes. That is also what
+// makes straggler duplicates safe: any host's result for a shard is the
+// same bits, so the first one to arrive wins.
 //
 // Robustness: a failed dispatch attempt (transport error, timeout,
 // worker-side error) is retried exactly once on the same host over a
@@ -265,7 +303,7 @@ func GradeDist(cpu *plasma.CPU, golden *plasma.Golden, faults []fault.Fault, opt
 		cwg.Add(1)
 		go func(i int) {
 			defer cwg.Done()
-			hc, err := dialHost(opt.Hosts[i], timeout)
+			hc, err := dialHost(opt.Hosts[i], c.Dir(), timeout)
 			if err != nil {
 				stats.Hosts[i].Err = err.Error()
 				return
@@ -429,7 +467,10 @@ func GradeDist(cpu *plasma.CPU, golden *plasma.Golden, faults []fault.Fault, opt
 		stats.Redispatched += h.Duplicates
 	}
 
-	// Whole-run stats the per-shard sums cannot provide, mirroring Grade.
+	// Per-shard stats sum cleanly except the whole-run quantities each
+	// worker reported for itself: golden-trace sizes describe the one
+	// shipped trace, and the partition (not the workers) skipped the
+	// never-activated faults.
 	merged.Stats.GoldenDenseBytes = golden.DenseStateBytes()
 	merged.Stats.GoldenStoredBytes = golden.StoredStateBytes()
 	merged.Stats.TraceDenseBytes = golden.DenseTraceBytes()
@@ -678,7 +719,7 @@ func (g *distGrader) runShard(slot int, s *distShard, dup bool) {
 // previous attempt tore it down.
 func (g *distGrader) conn(slot int) (*hostConn, error) {
 	if g.conns[g.live[slot]] == nil {
-		hc, err := dialHost(g.hosts[g.live[slot]], g.timeout)
+		hc, err := dialHost(g.hosts[g.live[slot]], g.cache.Dir(), g.timeout)
 		if err != nil {
 			return nil, err
 		}
@@ -776,9 +817,7 @@ func (g *distGrader) attempt(slot int, s *distShard, force bool) (*Response, err
 	return rf.Resp, nil
 }
 
-// checkResponse validates a worker's response against its request — the
-// shared contract of the one-shot worker path (runAttempt) and the
-// session path (attempt).
+// checkResponse validates a worker's response against its request.
 func checkResponse(req *Request, resp *Response) error {
 	if resp.Shard != req.Shard {
 		return fmt.Errorf("response for shard %d, want %d", resp.Shard, req.Shard)
@@ -806,8 +845,9 @@ type hostConn struct {
 
 // dialHost opens a session to a host over its transport and consumes the
 // hello frame, under the attempt timeout so a wedged host cannot stall
-// the dial phase.
-func dialHost(spec HostSpec, timeout time.Duration) (*hostConn, error) {
+// the dial phase. Exec hosts are pointed at cacheDir, the coordinator's
+// cache.
+func dialHost(spec HostSpec, cacheDir string, timeout time.Duration) (*hostConn, error) {
 	var rw io.ReadWriter
 	var closeFn, shutdownFn func()
 	switch {
@@ -821,7 +861,7 @@ func dialHost(spec HostSpec, timeout time.Duration) (*hostConn, error) {
 		shutdownFn = closeFn
 		rw = rwc
 	case len(spec.Argv) > 0:
-		w, err := startExecEnv([]string{EnvSession + "=1"}, spec.Argv[0], spec.Argv[1:]...)
+		w, err := startExecEnv([]string{EnvSession + "=1", EnvCacheDir + "=" + cacheDir}, spec.Argv[0], spec.Argv[1:]...)
 		if err != nil {
 			return nil, fmt.Errorf("shard: host %s: %w", spec.Name(), err)
 		}
@@ -859,4 +899,24 @@ func dialHost(spec HostSpec, timeout time.Duration) (*hostConn, error) {
 	}
 	hc.cores = hello.Cores
 	return hc, nil
+}
+
+// scatter expands a shard's subset-aligned outcomes to a full-fault-list
+// Result (ungraded lanes stay undetected) for fault.MergeShards.
+func scatter(faults []fault.Fault, idxs []int, cycles int, detectedAt []int32, sigGroups []uint8, stats fault.SimStats) *fault.Result {
+	r := &fault.Result{
+		Faults:          faults,
+		DetectedAt:      make([]int32, len(faults)),
+		SignatureGroups: make([]uint8, len(faults)),
+		Cycles:          cycles,
+		Stats:           stats,
+	}
+	for i := range r.DetectedAt {
+		r.DetectedAt[i] = -1
+	}
+	for k, idx := range idxs {
+		r.DetectedAt[idx] = detectedAt[k]
+		r.SignatureGroups[idx] = sigGroups[k]
+	}
+	return r
 }

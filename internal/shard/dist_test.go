@@ -71,31 +71,33 @@ func TestParseHosts(t *testing.T) {
 	}
 }
 
-// TestPartitionWeightedEqualIsUniform pins the compatibility contract:
-// with equal weights, the weighted partitioner is bit-identical to the
-// uniform Partition (same greedy argmin, same tie-break).
+// TestPartitionWeightedEqualIsUniform pins the uniform split: unset
+// (zero) weights and equal weights of any magnitude give the same
+// partition bit for bit, since only ratios matter.
 func TestPartitionWeightedEqualIsUniform(t *testing.T) {
 	cpu := getCPU(t)
 	g := captureTestGolden(t, 60)
 	faults := fault.SampleFaults(fault.Universe(cpu.Netlist), 512, 11)
 	for _, shards := range []int{1, 2, 3, 5} {
-		uniform, uskip, err := Partition(cpu.Netlist, g, faults, 0, 0, shards)
+		uniform, uskip, err := PartitionWeighted(cpu.Netlist, g, faults, 0, 0, make([]float64, shards))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ones := make([]float64, shards)
-		for i := range ones {
-			ones[i] = 1
-		}
-		weighted, wskip, err := PartitionWeighted(cpu.Netlist, g, faults, 0, 0, ones)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if uskip != wskip {
-			t.Fatalf("%d shards: skipped %d vs %d", shards, uskip, wskip)
-		}
-		if fmt.Sprint(uniform) != fmt.Sprint(weighted) {
-			t.Fatalf("%d shards: equal-weight partition diverges from uniform", shards)
+		for _, w := range []float64{1, 2.5} {
+			equal := make([]float64, shards)
+			for i := range equal {
+				equal[i] = w
+			}
+			weighted, wskip, err := PartitionWeighted(cpu.Netlist, g, faults, 0, 0, equal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if uskip != wskip {
+				t.Fatalf("%d shards at weight %v: skipped %d vs %d", shards, w, uskip, wskip)
+			}
+			if fmt.Sprint(uniform) != fmt.Sprint(weighted) {
+				t.Fatalf("%d shards: weight-%v partition diverges from uniform", shards, w)
+			}
 		}
 	}
 }
@@ -270,7 +272,8 @@ func TestGradeDistTCP(t *testing.T) {
 // TestGradeDistExecSession exercises the exec transport — the local
 // stand-in for an ssh wrapper: the coordinator spawns this test binary
 // with the session marker set (TestMain → ServeIfWorker) and talks the
-// session protocol over its stdin/stdout.
+// session protocol over its stdin/stdout. A local child opens the
+// coordinator's cache, so nothing is pushed.
 func TestGradeDistExecSession(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
@@ -292,8 +295,8 @@ func TestGradeDistExecSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, got, want)
-	if stats.BytesShipped <= 0 {
-		t.Fatalf("shipped %d bytes into fresh exec-worker caches", stats.BytesShipped)
+	if stats.BytesShipped != 0 {
+		t.Fatalf("pushed %d bytes to exec workers sharing the coordinator cache", stats.BytesShipped)
 	}
 }
 
@@ -302,28 +305,17 @@ func TestGradeDistExecSession(t *testing.T) {
 // protocol. The attempt fails, the coordinator re-dials and force-pushes,
 // and the retry succeeds — bit-identically.
 func TestGradeDistDisconnectRetries(t *testing.T) {
-	h := newTestHost(t)
 	dials := 0
-	spec := HostSpec{dial: func() (io.ReadWriteCloser, error) {
-		dials++
-		a, b := net.Pipe()
-		if dials == 1 {
-			go func() {
-				enc := NewEncoder(b)
-				dec := NewDecoder(b)
-				_ = enc.WriteFrame(&sessionFrame{Kind: frameHello, Proto: sessionProto, Cores: 1})
-				var f sessionFrame
-				_ = dec.ReadFrame(&f) // the HAVE probe
-				b.Close()             // ... and the stream dies mid-exchange
-			}()
-		} else {
-			go func() {
-				defer b.Close()
-				_ = h.ServeSession(b, b)
-			}()
-		}
-		return a, nil
-	}}
+	spec := flakyHost(newTestHost(t), func(b net.Conn) {
+		enc := NewEncoder(b)
+		dec := NewDecoder(b)
+		_ = enc.WriteFrame(&sessionFrame{Kind: frameHello, Proto: sessionProto, Cores: 1})
+		var f sessionFrame
+		_ = dec.ReadFrame(&f) // the HAVE probe
+		b.Close()             // ... and the stream dies mid-exchange
+	})
+	dial := spec.dial
+	spec.dial = func() (io.ReadWriteCloser, error) { dials++; return dial() }
 	cpu := getCPU(t)
 	g := captureTestGolden(t, 60)
 	all := fault.Universe(cpu.Netlist)
@@ -403,29 +395,7 @@ func TestGradeDistHealsCorruptWorkerCache(t *testing.T) {
 // completes promptly (no timeout involved) and bit-identically.
 func TestGradeDistStragglerRedispatch(t *testing.T) {
 	good := newTestHost(t)
-	blackhole := HostSpec{dial: func() (io.ReadWriteCloser, error) {
-		a, b := net.Pipe()
-		go func() {
-			enc := NewEncoder(b)
-			dec := NewDecoder(b)
-			_ = enc.WriteFrame(&sessionFrame{Kind: frameHello, Proto: sessionProto, Cores: 1})
-			for {
-				var f sessionFrame
-				if dec.ReadFrame(&f) != nil {
-					return
-				}
-				switch f.Kind {
-				case frameHave:
-					_ = enc.WriteFrame(&sessionFrame{Kind: frameWant}) // claim warm cache
-				case framePut:
-					_ = enc.WriteFrame(&sessionFrame{Kind: framePutOK})
-				case frameGrade:
-					// Swallow the shard and never answer.
-				}
-			}
-		}()
-		return a, nil
-	}}
+	blackhole := fakeHost(func(net.Conn, *Encoder, *Request) {}) // swallow the shard, never answer
 	cpu := getCPU(t)
 	g := captureTestGolden(t, 60)
 	all := fault.Universe(cpu.Netlist)
@@ -462,32 +432,11 @@ func TestGradeDistStragglerRedispatch(t *testing.T) {
 // contract: a host that fails the same shard twice — with no other host
 // to cover it — fails the whole run with both attempts' errors.
 func TestGradeDistDoubleFailureFails(t *testing.T) {
-	broken := HostSpec{dial: func() (io.ReadWriteCloser, error) {
-		a, b := net.Pipe()
-		go func() {
-			defer b.Close()
-			enc := NewEncoder(b)
-			dec := NewDecoder(b)
-			_ = enc.WriteFrame(&sessionFrame{Kind: frameHello, Proto: sessionProto, Cores: 1})
-			for {
-				var f sessionFrame
-				if dec.ReadFrame(&f) != nil {
-					return
-				}
-				switch f.Kind {
-				case frameHave:
-					_ = enc.WriteFrame(&sessionFrame{Kind: frameWant})
-				case framePut:
-					_ = enc.WriteFrame(&sessionFrame{Kind: framePutOK})
-				case frameGrade:
-					_ = enc.WriteFrame(&sessionFrame{Kind: frameResult, Resp: &Response{
-						Shard: f.Req.Shard, Err: "simulated worker fault",
-					}})
-				}
-			}
-		}()
-		return a, nil
-	}}
+	broken := fakeHost(func(_ net.Conn, enc *Encoder, req *Request) {
+		_ = enc.WriteFrame(&sessionFrame{Kind: frameResult, Resp: &Response{
+			Shard: req.Shard, Err: "simulated worker fault",
+		}})
+	})
 	cpu := getCPU(t)
 	g := captureTestGolden(t, 60)
 	all := fault.Universe(cpu.Netlist)

@@ -9,15 +9,20 @@ import (
 	"repro/internal/plasma"
 )
 
-// Partition deterministically splits a fault list into at most n index
-// groups for sharded grading. It reuses the cone-aware, activation-sorted
-// pass packing of internal/fault — shards receive contiguous runs of the
-// packing order, so the cache-friendly grouping (faults of one pass share
-// fanout-cone regions and activation windows) largely survives the split —
-// and balances the shards by the width policy's cost estimate
-// (longest-processing-time greedy: dispatch units in descending cost
-// order, each to the currently lightest shard, ties to the lowest shard
-// index).
+// PartitionWeighted deterministically splits a fault list into one index
+// group per entry of weights for sharded grading. It reuses the
+// cone-aware, activation-sorted pass packing of internal/fault — shards
+// receive contiguous runs of the packing order, so the cache-friendly
+// grouping (faults of one pass share fanout-cone regions and activation
+// windows) largely survives the split — and balances the shards by host
+// capacity with a longest-processing-time greedy: dispatch units in
+// descending order of the width policy's cost estimate, each to the
+// shard minimizing (load+cost)/weight, i.e. the one that would finish its
+// assignment soonest if it processes cost at `weight` units per second.
+// Weights <= 0 count as 1 (so a zero-filled slice is the uniform split),
+// only ratios matter, and ties go to the lowest shard index — the
+// partition is a pure function of (plan, weights), deterministic across
+// coordinator runs.
 //
 // A dispatch unit is a whole pass group when the plan has enough of them,
 // but a group whose estimated cost exceeds a shard's fair share is split
@@ -32,21 +37,6 @@ import (
 // undetectable by this golden run, and an unsharded Simulate would skip
 // them identically (their count is the second return, for stats). Groups
 // can still come back empty when there are fewer faults than shards.
-func Partition(n *gate.Netlist, golden *plasma.Golden, faults []fault.Fault, engine fault.Engine, laneWords, shards int) ([][]int, int64, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	return PartitionWeighted(n, golden, faults, engine, laneWords, make([]float64, shards))
-}
-
-// PartitionWeighted is Partition with one shard per entry of weights, each
-// balanced by host capacity: a dispatch unit goes to the shard minimizing
-// (load+cost)/weight, i.e. the one that would finish its assignment
-// soonest if it processes cost at `weight` units per second. Weights <= 0
-// count as 1 (so a zero-filled slice degenerates to the uniform split),
-// only ratios matter, and ties go to the lowest shard index — the
-// partition is a pure function of (plan, weights), deterministic across
-// coordinator runs.
 func PartitionWeighted(n *gate.Netlist, golden *plasma.Golden, faults []fault.Fault, engine fault.Engine, laneWords int, weights []float64) ([][]int, int64, error) {
 	groups, skipped, err := fault.PlanPasses(n, golden, faults, engine, laneWords)
 	if err != nil {

@@ -1,17 +1,25 @@
-// Package shard scales fault grading across worker processes: a
-// coordinator partitions the fault universe into deterministic,
+// Package shard scales fault grading across worker processes and
+// machines. GradeDist partitions the fault universe into deterministic,
 // cache-friendly shards (reusing the cone-aware pass packing of
-// internal/fault), ships the synthesized netlist and the sparse golden
-// trace once through the content-addressed artifact cache, spawns worker
-// processes of the same binary, and unions the per-shard detections with
-// fault.MergeShards into a result bit-identical to an unsharded run.
+// internal/fault, balanced by host capacity), replicates the synthesized
+// netlist and the sparse golden trace into each worker's
+// content-addressed artifact cache push-on-miss, grades one shard per
+// host over persistent worker sessions, and unions the per-shard
+// detections with fault.MergeShards into a result bit-identical to an
+// unsharded run.
 //
-// The wire protocol is deliberately small: the coordinator writes one
-// Request frame to a worker's stdin, the worker writes one Response frame
-// to its stdout and exits. Frames are length-prefixed, CRC-guarded gob; a
-// truncated or corrupted frame is detected at the coordinator and treated
-// like a crashed worker (one retry, then a hard error — never a silently
-// partial merge).
+// A worker host is any process embedding this package: a TCP daemon
+// (EnvHostAddr, sbst -shard-serve), or a child speaking one session on
+// its stdin/stdout (an exec host: EnvSession, sbst -shard-session, or
+// an ssh wrapper). `-shards N` on sbst and report is GradeDist over N
+// exec hosts of the running binary (LocalHosts); those children open
+// the coordinator's own cache directory, so they find every artifact
+// already present.
+//
+// Frames are length-prefixed, CRC-guarded gob on one persistent stream
+// per direction (Encoder/Decoder); a truncated or corrupted frame is a
+// diagnosed error, treated like a crashed worker (one retry, then a hard
+// error — never a silently partial merge).
 package shard
 
 import (
@@ -21,21 +29,20 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"repro/internal/fault"
 )
 
 // Request is the coordinator-to-worker job description. Heavy artifacts
-// (netlist, golden trace) travel by content-address through the shared
-// cache directory; only the shard's own fault subset rides in the frame.
+// (netlist, golden trace) travel by content address through the worker's
+// artifact cache; only the shard's own fault subset rides in the frame.
 type Request struct {
 	// Shard is the shard's index in the coordinator's partition, echoed
 	// back in the Response.
 	Shard int
-	// CacheDir is the artifact cache directory shared with the
-	// coordinator; CPUKey and GoldenKey address the shipped CPU
-	// (cache.PutCPU) and golden trace (cache.PutGolden) in it.
-	CacheDir  string
+	// CPUKey and GoldenKey address the replicated CPU (cache.PutCPU) and
+	// golden trace (cache.PutGolden) in the worker's cache.
 	CPUKey    string
 	GoldenKey string
 	// Faults is the shard's fault subset, in the coordinator's shard-local
@@ -64,25 +71,30 @@ type Response struct {
 	DetectedAt      []int32
 	SignatureGroups []uint8
 	Stats           fault.SimStats
-	// WallNs is the worker-side wall clock of the simulation itself,
-	// reported by session workers (internal/shard remote hosts) so the
-	// coordinator can split an attempt's latency into ship/queue/sim
-	// components; one-shot subprocess workers leave it zero.
+	// WallNs is the worker-side wall clock of the simulation itself, so
+	// the coordinator can split an attempt's latency into ship/queue/sim
+	// components.
 	WallNs int64
 }
 
-// maxFrameBytes bounds a frame's declared payload length so a corrupted
-// header cannot demand an absurd allocation.
+// maxFrameBytes bounds a frame's declared payload length.
 const maxFrameBytes = 1 << 30
 
+// frameGrowStep bounds how far the Decoder's payload buffer grows ahead
+// of the bytes that have actually arrived: a header that declares more
+// than it delivers costs at most one step of allocation, not its
+// declared length.
+const frameGrowStep = 1 << 20
+
 // Encoder writes a persistent stream of length-prefixed, CRC-guarded gob
-// frames. Unlike the one-shot WriteFrame it keeps one gob stream alive
-// across frames, so type descriptors are transmitted once per connection
-// instead of once per message — the difference between ~KB and ~tens of
-// bytes per request on a long-lived grading connection. Frames produced
-// by an Encoder must be consumed in order by the matching Decoder (the
-// gob stream spans frames); use WriteFrame/ReadFrame for one-shot
-// exchanges like shard workers.
+// frames. It keeps one gob stream alive across frames, so type
+// descriptors are transmitted once per connection instead of once per
+// message — the difference between ~KB and ~tens of bytes per request on
+// a long-lived grading connection. Frames produced by an Encoder must be
+// consumed in order by the matching Decoder (the gob stream spans
+// frames). This framing is shared by every inter-process protocol in
+// this repo: shard sessions and the grading server (internal/serve), so
+// corruption and truncation are detected identically on either channel.
 type Encoder struct {
 	w   io.Writer
 	buf bytes.Buffer
@@ -134,8 +146,8 @@ func NewDecoder(r io.Reader) *Decoder {
 	return d
 }
 
-// ReadFrame reads one frame into v. Truncation and corruption are
-// distinct, explicit errors, exactly as with the one-shot ReadFrame.
+// ReadFrame reads one frame into v. Truncation (the stream ends
+// mid-frame) and corruption (CRC mismatch) are distinct, explicit errors.
 func (d *Decoder) ReadFrame(v any) error {
 	var hdr [8]byte
 	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
@@ -148,11 +160,12 @@ func (d *Decoder) ReadFrame(v any) error {
 	if n > maxFrameBytes {
 		return fmt.Errorf("shard: frame of %d bytes exceeds the %d-byte limit", n, maxFrameBytes)
 	}
-	if uint32(cap(d.payload)) < n {
-		d.payload = make([]byte, n)
-	}
-	d.payload = d.payload[:n]
-	if _, err := io.ReadFull(d.r, d.payload); err != nil {
+	if uint32(cap(d.payload)) >= n {
+		d.payload = d.payload[:n]
+		if _, err := io.ReadFull(d.r, d.payload); err != nil {
+			return fmt.Errorf("shard: truncated frame: got fewer than the declared %d bytes: %w", n, err)
+		}
+	} else if err := d.readGrowing(int(n)); err != nil {
 		return fmt.Errorf("shard: truncated frame: got fewer than the declared %d bytes: %w", n, err)
 	}
 	if crc := crc32.ChecksumIEEE(d.payload); crc != binary.LittleEndian.Uint32(hdr[4:]) {
@@ -165,51 +178,21 @@ func (d *Decoder) ReadFrame(v any) error {
 	return nil
 }
 
-// WriteFrame writes one length-prefixed, CRC-guarded gob frame. It is
-// exported as the wire framing shared by every inter-process protocol in
-// this repo: shard workers and the grading server (internal/serve) both
-// frame their gob messages this way, so corruption and truncation are
-// detected identically on either channel.
-func WriteFrame(w io.Writer, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("shard: encode frame: %w", err)
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(buf.Len()))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(buf.Bytes()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("shard: write frame header: %w", err)
-	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("shard: write frame payload: %w", err)
-	}
-	return nil
-}
-
-// ReadFrame reads one frame into v. Truncation (stream ends mid-frame)
-// and corruption (CRC mismatch) are distinct, explicit errors.
-func ReadFrame(r io.Reader, v any) error {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("shard: truncated frame header: %w", err)
+// readGrowing reads an n-byte payload that does not fit the current
+// buffer, growing the buffer at most frameGrowStep ahead of the bytes
+// received so far.
+func (d *Decoder) readGrowing(n int) error {
+	buf := d.payload[:0]
+	for len(buf) < n {
+		chunk := min(n-len(buf), frameGrowStep)
+		buf = slices.Grow(buf, chunk)
+		start := len(buf)
+		buf = buf[:start+chunk]
+		if _, err := io.ReadFull(d.r, buf[start:]); err != nil {
+			d.payload = buf[:0]
+			return err
 		}
-		return fmt.Errorf("shard: read frame header: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n > maxFrameBytes {
-		return fmt.Errorf("shard: frame of %d bytes exceeds the %d-byte limit", n, maxFrameBytes)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return fmt.Errorf("shard: truncated frame: got fewer than the declared %d bytes: %w", n, err)
-	}
-	if crc := crc32.ChecksumIEEE(payload); crc != binary.LittleEndian.Uint32(hdr[4:]) {
-		return fmt.Errorf("shard: frame CRC mismatch")
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("shard: decode frame: %w", err)
-	}
+	d.payload = buf
 	return nil
 }

@@ -2,12 +2,12 @@ package shard
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
+	"encoding/binary"
 	"io"
+	"net"
 	"os"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,9 +19,9 @@ import (
 	"repro/internal/synth"
 )
 
-// TestMain makes this test binary a valid shard worker for SelfSpawner:
-// when the coordinator re-executes it with the worker marker set,
-// ServeIfWorker serves the request and exits before any test runs.
+// TestMain makes this test binary a valid exec host: when the coordinator
+// re-executes it with the session marker set (LocalHosts, exec HostSpecs),
+// ServeIfWorker serves the session and exits before any test runs.
 func TestMain(m *testing.M) {
 	ServeIfWorker()
 	os.Exit(m.Run())
@@ -100,7 +100,6 @@ func requireSameResult(t *testing.T, got, want *fault.Result) {
 func TestFrameRoundTrip(t *testing.T) {
 	req := &Request{
 		Shard:        3,
-		CacheDir:     "/tmp/x",
 		CPUKey:       "cpu-abc",
 		GoldenKey:    "golden-def",
 		Faults:       []fault.Fault{{Site: gate.FaultSite{Gate: 7, Pin: 1, Stuck: true}, Comp: 2, Equiv: 4}},
@@ -109,44 +108,80 @@ func TestFrameRoundTrip(t *testing.T) {
 		LaneWords:    8,
 		Workers:      2,
 	}
+	// Two frames of one stream: the first carries the gob type
+	// descriptors, so the second is smaller and decodes into a buffer the
+	// first already grew.
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, req); err != nil {
-		t.Fatal(err)
+	enc := NewEncoder(&buf)
+	for i := 0; i < 2; i++ {
+		if err := enc.WriteFrame(req); err != nil {
+			t.Fatal(err)
+		}
 	}
-	frame := append([]byte(nil), buf.Bytes()...)
-	var got Request
-	if err := ReadFrame(&buf, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Shard != req.Shard || got.UniverseHash != req.UniverseHash ||
-		len(got.Faults) != 1 || got.Faults[0] != req.Faults[0] ||
-		got.Engine != req.Engine || got.LaneWords != req.LaneWords || got.Workers != req.Workers {
-		t.Fatalf("round trip mangled the request: %+v vs %+v", got, req)
+	stream := append([]byte(nil), buf.Bytes()...)
+	dec := NewDecoder(&buf)
+	for i := 0; i < 2; i++ {
+		var got Request
+		if err := dec.ReadFrame(&got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Shard != req.Shard || got.UniverseHash != req.UniverseHash ||
+			len(got.Faults) != 1 || got.Faults[0] != req.Faults[0] ||
+			got.Engine != req.Engine || got.LaneWords != req.LaneWords || got.Workers != req.Workers {
+			t.Fatalf("frame %d: round trip mangled the request: %+v vs %+v", i, got, req)
+		}
 	}
 
-	// A stream that ends mid-header and one that ends mid-payload are both
-	// explicit truncation errors, not bare EOFs or decode garbage.
-	for _, cut := range []int{4, len(frame) - 3} {
-		var r Request
-		err := ReadFrame(bytes.NewReader(frame[:cut]), &r)
-		if err == nil || !strings.Contains(err.Error(), "truncated") {
+	// A stream that ends mid-header, mid-payload of a frame that grows the
+	// buffer, or mid-payload of a frame that fits the grown buffer is an
+	// explicit truncation error, not a bare EOF or decode garbage.
+	for _, cut := range []int{4, len(stream) / 2, len(stream) - 3} {
+		d := NewDecoder(bytes.NewReader(stream[:cut]))
+		var err error
+		for err == nil {
+			var r Request
+			err = d.ReadFrame(&r)
+		}
+		if !strings.Contains(err.Error(), "truncated") {
 			t.Errorf("cut at %d: err = %v, want truncation", cut, err)
 		}
 	}
 
 	// A flipped payload bit fails the CRC before gob ever sees it.
-	corrupt := append([]byte(nil), frame...)
+	first := stream[:8+binary.LittleEndian.Uint32(stream[:4])]
+	corrupt := append([]byte(nil), first...)
 	corrupt[len(corrupt)-1] ^= 0x40
 	var r Request
-	if err := ReadFrame(bytes.NewReader(corrupt), &r); err == nil || !strings.Contains(err.Error(), "CRC") {
+	if err := NewDecoder(bytes.NewReader(corrupt)).ReadFrame(&r); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Errorf("corrupted payload: err = %v, want CRC mismatch", err)
 	}
 
 	// An absurd declared length is rejected without allocating it.
-	huge := append([]byte(nil), frame...)
+	huge := append([]byte(nil), first...)
 	huge[0], huge[1], huge[2], huge[3] = 0xff, 0xff, 0xff, 0xff
-	if err := ReadFrame(bytes.NewReader(huge), &r); err == nil || !strings.Contains(err.Error(), "limit") {
+	if err := NewDecoder(bytes.NewReader(huge)).ReadFrame(&r); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Errorf("oversized frame: err = %v, want limit error", err)
+	}
+}
+
+// TestDecoderBoundsLyingHeader sends a header that declares a 1 GiB
+// payload (inside the frame limit) and then ends the stream. The read
+// must fail as a truncation, and the decoder must not have allocated the
+// declared length up front: sbstd and every TCP worker host accept these
+// headers from the network.
+func TestDecoderBoundsLyingHeader(t *testing.T) {
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[:4], 1<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var f sessionFrame
+	err := NewDecoder(bytes.NewReader(hdr[:])).ReadFrame(&f)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("err = %v, want truncation", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Fatalf("a lying 1 GiB header cost %d MiB of allocation, want < 8 MiB", got>>20)
 	}
 }
 
@@ -156,7 +191,8 @@ func TestPartitionDeterministicAndComplete(t *testing.T) {
 	faults := fault.SampleFaults(fault.Universe(cpu.Netlist), testSample(t), 1)
 
 	for _, shards := range []int{1, 2, 3, 7} {
-		first, skipped, err := Partition(cpu.Netlist, g, faults, fault.EngineEvent, 0, shards)
+		weights := make([]float64, shards)
+		first, skipped, err := PartitionWeighted(cpu.Netlist, g, faults, fault.EngineEvent, 0, weights)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +219,7 @@ func TestPartitionDeterministicAndComplete(t *testing.T) {
 			t.Fatalf("%d assigned + %d skipped != %d faults", total, skipped, len(faults))
 		}
 		// The partition is a pure function of its inputs.
-		second, _, err := Partition(cpu.Netlist, g, faults, fault.EngineEvent, 0, shards)
+		second, _, err := PartitionWeighted(cpu.Netlist, g, faults, fault.EngineEvent, 0, weights)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +238,8 @@ func TestPartitionDeterministicAndComplete(t *testing.T) {
 
 // TestGradeEquivalentToSimulate is the core acceptance property: a sharded
 // run is bit-identical to the unsharded fault.Simulate of the same options,
-// for several shard counts.
+// for several shard counts. The hosts are in-process sessions, so the
+// coordinator's concurrency runs under the race detector.
 func TestGradeEquivalentToSimulate(t *testing.T) {
 	cpu := getCPU(t)
 	g := captureTestGolden(t, 80)
@@ -213,12 +250,11 @@ func TestGradeEquivalentToSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{2, 3, 4, 5} {
-		got, stats, err := Grade(cpu, g, all, Options{
-			Shards: shards,
-			Sample: opt.Sample,
-			Seed:   opt.Seed,
-			Spawn:  InProcSpawner(),
-		})
+		hosts := make([]HostSpec, shards)
+		for i := range hosts {
+			hosts[i] = pipeHost(t, newTestHost(t))
+		}
+		got, stats, err := GradeDist(cpu, g, all, DistOptions{Hosts: hosts, Sample: opt.Sample, Seed: opt.Seed})
 		if err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
 		}
@@ -226,20 +262,18 @@ func TestGradeEquivalentToSimulate(t *testing.T) {
 		if stats.Shards < 1 || stats.Shards > shards {
 			t.Fatalf("%d shards requested, stats says %d graded", shards, stats.Shards)
 		}
-		if stats.Launched < stats.Shards {
-			t.Fatalf("launched %d workers for %d shards", stats.Launched, stats.Shards)
+		if got.Stats.ShardsLaunched < int64(stats.Shards) {
+			t.Fatalf("dispatched %d attempts for %d shards", got.Stats.ShardsLaunched, stats.Shards)
 		}
-		if stats.Failed != 0 || stats.Retried != 0 || stats.Fallbacks != 0 {
-			t.Fatalf("healthy run reported failures: %+v", stats)
-		}
-		if got.Stats.ShardsLaunched != int64(stats.Launched) {
-			t.Fatalf("SimStats counter %d != coordinator counter %d", got.Stats.ShardsLaunched, stats.Launched)
+		if got.Stats.ShardsFailed != 0 || got.Stats.ShardsRetried != 0 {
+			t.Fatalf("healthy run reported failures: %+v", got.Stats)
 		}
 	}
 }
 
-// TestGradeSubprocess exercises the real process boundary: the default
-// SelfSpawner re-executes this test binary (see TestMain) as the worker.
+// TestGradeSubprocess exercises the real process boundary of -shards N:
+// LocalHosts re-executes this test binary (see TestMain) as session
+// workers, which share the coordinator's private temporary cache.
 func TestGradeSubprocess(t *testing.T) {
 	cpu := getCPU(t)
 	g := captureTestGolden(t, 60)
@@ -249,19 +283,27 @@ func TestGradeSubprocess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := Grade(cpu, g, all, Options{Shards: 2, Sample: opt.Sample, Seed: opt.Seed})
+	hosts, err := LocalHosts(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := GradeDist(cpu, g, all, DistOptions{Hosts: hosts, Sample: opt.Sample, Seed: opt.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameResult(t, got, want)
-	if stats.Fallbacks != 0 {
-		t.Fatalf("subprocess run fell back in-process: %+v", stats)
+	if got.Stats.DistHosts != 2 {
+		t.Fatalf("DistHosts = %d, want 2 live local sessions", got.Stats.DistHosts)
 	}
-	if stats.BytesShipped <= 0 {
-		t.Fatalf("no artifact bytes shipped into a fresh cache: %+v", stats)
+	if stats.BytesShipped != 0 {
+		t.Fatalf("local sessions share the coordinator cache, yet %d bytes were pushed", stats.BytesShipped)
 	}
 }
 
+// TestGradeShipsArtifactsOnce pins "re-grades ship nothing" for -shards:
+// local sessions open the coordinator's persistent cache, so neither the
+// first grade nor the re-grade pushes a byte, and the artifacts persist
+// in that cache for the next run.
 func TestGradeShipsArtifactsOnce(t *testing.T) {
 	cpu := getCPU(t)
 	g := captureTestGolden(t, 60)
@@ -270,81 +312,124 @@ func TestGradeShipsArtifactsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Shards: 2, Sample: 128, Seed: 1, Cache: disk, Spawn: InProcSpawner()}
-	_, first, err := Grade(cpu, g, all, opt)
+	hosts, err := LocalHosts(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.BytesShipped <= 0 {
-		t.Fatalf("first run shipped %d bytes, want > 0", first.BytesShipped)
-	}
-	_, second, err := Grade(cpu, g, all, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.BytesShipped != 0 {
-		t.Fatalf("second run re-shipped %d bytes into a warm cache", second.BytesShipped)
-	}
-}
-
-// fakeWorker misbehaves on demand: it swallows the request and serves out
-// as its response stream (nil = hang until killed), then reports waitErr.
-type fakeWorker struct {
-	out     io.Reader
-	waitErr error
-
-	killed   chan struct{}
-	killOnce sync.Once
-}
-
-func newFakeWorker(out io.Reader, waitErr error) *fakeWorker {
-	return &fakeWorker{out: out, waitErr: waitErr, killed: make(chan struct{})}
-}
-
-func (w *fakeWorker) Write(p []byte) (int, error) { return len(p), nil }
-func (w *fakeWorker) Read(p []byte) (int, error) {
-	if w.out == nil {
-		<-w.killed
-		return 0, fmt.Errorf("worker killed")
-	}
-	return w.out.Read(p)
-}
-func (w *fakeWorker) CloseWrite() error { return nil }
-func (w *fakeWorker) Wait() error       { return w.waitErr }
-func (w *fakeWorker) Kill()             { w.killOnce.Do(func() { close(w.killed) }) }
-
-// failFirstSpawner hands out bad exactly once — to whichever shard spawns
-// first — and real in-process workers afterwards.
-func failFirstSpawner(bad Worker) Spawner {
-	good := InProcSpawner()
-	var mu sync.Mutex
-	used := false
-	return func() (Worker, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !used {
-			used = true
-			return bad, nil
+	opt := DistOptions{Hosts: hosts, Sample: 128, Seed: 1, Cache: disk}
+	for run := 0; run < 2; run++ {
+		_, stats, err := GradeDist(cpu, g, all, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return good()
+		if stats.BytesShipped != 0 {
+			t.Fatalf("run %d pushed %d bytes to sessions sharing the cache", run, stats.BytesShipped)
+		}
 	}
-}
-
-// validResponseFrame encodes a well-formed (if empty) Response frame, for
-// workers that speak the protocol but then exit nonzero.
-func validResponseFrame(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Response{}); err != nil {
+	key, err := cache.NetlistHash(cpu.Netlist)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	if !disk.HasArtifact(cache.KindCPU, key) {
+		t.Fatal("the CPU artifact did not persist in the coordinator cache")
+	}
 }
 
-// gradeInjected runs a 2-shard grading where the first spawned worker is
-// bad, and asserts the coordinator retried exactly once and converged to
-// the unsharded result.
-func gradeInjected(t *testing.T, bad Worker, timeout time.Duration) {
+func TestFlagHosts(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		hosts  string
+		shards int
+		want   []string // host names; nil = in-process
+		err    string
+	}{
+		{"", 0, nil, ""},
+		{"", 1, nil, ""},
+		{"", 3, []string{exe, exe, exe}, ""},
+		{"h1:7777,exec:w -shard-session", 1, []string{"h1:7777", "w -shard-session"}, ""},
+		{"h1:7777", 2, nil, "mutually exclusive"},
+		{"noport", 1, nil, "no port"},
+	} {
+		hosts, err := FlagHosts(tc.hosts, tc.shards)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("FlagHosts(%q, %d) err = %v, want %q", tc.hosts, tc.shards, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("FlagHosts(%q, %d): %v", tc.hosts, tc.shards, err)
+			continue
+		}
+		var names []string
+		for _, h := range hosts {
+			names = append(names, h.Name())
+		}
+		if strings.Join(names, "|") != strings.Join(tc.want, "|") || (hosts == nil) != (tc.want == nil) {
+			t.Errorf("FlagHosts(%q, %d) = %q, want %q", tc.hosts, tc.shards, names, tc.want)
+		}
+	}
+}
+
+// fakeSession speaks the session protocol on conn as a host whose cache
+// already holds every artifact, handing each grade request to onGrade,
+// which may answer, write garbage, close conn, or do nothing (a hang).
+func fakeSession(conn net.Conn, onGrade func(enc *Encoder, req *Request)) {
+	defer conn.Close()
+	enc, dec := NewEncoder(conn), NewDecoder(conn)
+	_ = enc.WriteFrame(&sessionFrame{Kind: frameHello, Proto: sessionProto, Cores: 1})
+	for {
+		var f sessionFrame
+		if dec.ReadFrame(&f) != nil {
+			return
+		}
+		switch f.Kind {
+		case frameHave:
+			_ = enc.WriteFrame(&sessionFrame{Kind: frameWant})
+		case framePut:
+			_ = enc.WriteFrame(&sessionFrame{Kind: framePutOK})
+		case frameGrade:
+			onGrade(enc, f.Req)
+		}
+	}
+}
+
+// fakeHost is a host whose every session is a fakeSession.
+func fakeHost(onGrade func(conn net.Conn, enc *Encoder, req *Request)) HostSpec {
+	return HostSpec{dial: func() (io.ReadWriteCloser, error) {
+		a, b := net.Pipe()
+		go fakeSession(b, func(enc *Encoder, req *Request) { onGrade(b, enc, req) })
+		return a, nil
+	}}
+}
+
+// flakyHost serves its first session with bad and every later one with
+// the real host h, like a worker that misbehaves once and is then
+// restarted.
+func flakyHost(h *Host, bad func(conn net.Conn)) HostSpec {
+	dials := 0
+	return HostSpec{dial: func() (io.ReadWriteCloser, error) {
+		dials++
+		a, b := net.Pipe()
+		if dials == 1 {
+			go bad(b)
+		} else {
+			go func() {
+				defer b.Close()
+				_ = h.ServeSession(b, b)
+			}()
+		}
+		return a, nil
+	}}
+}
+
+// gradeRecovers grades through one host whose first session fails and
+// asserts the coordinator retried exactly once over a fresh session and
+// converged to the unsharded result.
+func gradeRecovers(t *testing.T, host HostSpec, timeout time.Duration) {
 	t.Helper()
 	cpu := getCPU(t)
 	g := captureTestGolden(t, 60)
@@ -354,64 +439,59 @@ func gradeInjected(t *testing.T, bad Worker, timeout time.Duration) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := Grade(cpu, g, all, Options{
-		Shards:  2,
+	got, stats, err := GradeDist(cpu, g, all, DistOptions{
+		Hosts:   []HostSpec{host},
 		Sample:  opt.Sample,
 		Seed:    opt.Seed,
 		Timeout: timeout,
-		Spawn:   failFirstSpawner(bad),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameResult(t, got, want)
-	if stats.Failed != 1 || stats.Retried != 1 {
-		t.Fatalf("want exactly one failed attempt and one retry, got %+v", stats)
-	}
-	if stats.Launched != stats.Shards+1 {
-		t.Fatalf("launched %d workers for %d shards + 1 retry", stats.Launched, stats.Shards)
-	}
-	if stats.Fallbacks != 0 {
-		t.Fatalf("retry path took the spawner-failure fallback: %+v", stats)
+	if h := stats.Hosts[0]; h.FailedAttempts != 1 || h.Retries != 1 || h.Dispatches != 2 {
+		t.Fatalf("want one failed attempt and one retry, got %+v", h)
 	}
 	if got.Stats.ShardsRetried != 1 || got.Stats.ShardsFailed != 1 {
 		t.Fatalf("SimStats shard counters: %+v", got.Stats)
 	}
 }
 
-func TestWorkerExitsNonzero(t *testing.T) {
-	// The worker answers correctly but exits nonzero: its result cannot be
-	// trusted, so the attempt fails and the retry converges.
-	bad := newFakeWorker(bytes.NewReader(validResponseFrame(t)), errors.New("exit status 1"))
-	gradeInjected(t, bad, 0)
-}
-
+// TestWorkerHangsPastTimeout: the first session accepts its shard and
+// never answers; the attempt budget tears it down and the retry
+// converges.
 func TestWorkerHangsPastTimeout(t *testing.T) {
-	// The worker never responds; the 100ms budget kills it and the retry
-	// converges.
-	gradeInjected(t, newFakeWorker(nil, nil), 100*time.Millisecond)
+	hang := func(conn net.Conn) { fakeSession(conn, func(*Encoder, *Request) {}) }
+	gradeRecovers(t, flakyHost(newTestHost(t), hang), 2*time.Second)
 }
 
+// TestWorkerEmitsTruncatedFrame: the first session answers its grade with
+// a frame that ends mid-payload and hangs up.
 func TestWorkerEmitsTruncatedFrame(t *testing.T) {
-	frame := validResponseFrame(t)
-	bad := newFakeWorker(bytes.NewReader(frame[:len(frame)-3]), nil)
-	gradeInjected(t, bad, 0)
+	truncated := func(conn net.Conn) {
+		fakeSession(conn, func(*Encoder, *Request) {
+			var hdr [8]byte
+			binary.LittleEndian.PutUint32(hdr[:4], 100)
+			_, _ = conn.Write(append(hdr[:], make([]byte, 97)...))
+			conn.Close()
+		})
+	}
+	gradeRecovers(t, flakyHost(newTestHost(t), truncated), 0)
 }
 
 // TestWorkerFailsTwice asserts the never-silently-partial guarantee: when
-// a shard's attempt and its one retry both fail, Grade returns an error
-// naming both attempts and no result at all.
+// a shard's attempt and its one retry both time out, GradeDist returns an
+// error naming both attempts and no result at all.
 func TestWorkerFailsTwice(t *testing.T) {
 	cpu := getCPU(t)
 	g := captureTestGolden(t, 60)
 	all := fault.Universe(cpu.Netlist)
-	hang := func() (Worker, error) { return newFakeWorker(nil, nil), nil }
-	res, stats, err := Grade(cpu, g, all, Options{
-		Shards:  2,
+	hang := fakeHost(func(net.Conn, *Encoder, *Request) {})
+	res, stats, err := GradeDist(cpu, g, all, DistOptions{
+		Hosts:   []HostSpec{hang, hang},
 		Sample:  128,
 		Seed:    5,
 		Timeout: 50 * time.Millisecond,
-		Spawn:   hang,
 	})
 	if err == nil {
 		t.Fatal("want an error, got success")
@@ -425,15 +505,19 @@ func TestWorkerFailsTwice(t *testing.T) {
 	if !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("err = %v, want the timeout surfaced", err)
 	}
-	if stats.Retried == 0 || stats.Failed < 2 {
-		t.Fatalf("stats don't show the retry: %+v", stats)
+	retries := 0
+	for _, h := range stats.Hosts {
+		retries += h.Retries
+	}
+	if retries == 0 {
+		t.Fatalf("stats don't show the retry: %+v", stats.Hosts)
 	}
 }
 
-// TestSpawnFailureFallsBack asserts graceful degradation: a spawner that
-// cannot start processes at all downgrades every shard to an in-process
-// simulation, still bit-identical to the unsharded run.
-func TestSpawnFailureFallsBack(t *testing.T) {
+// TestSpawnFailureExcludesHost: an exec host whose argv cannot be
+// launched is excluded and recorded, the run completes bit-identically on
+// the live hosts, and as the only host it is a clean error.
+func TestSpawnFailureExcludesHost(t *testing.T) {
 	cpu := getCPU(t)
 	g := captureTestGolden(t, 60)
 	all := fault.Universe(cpu.Netlist)
@@ -442,70 +526,21 @@ func TestSpawnFailureFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	broken := func() (Worker, error) { return nil, errors.New("no such binary") }
-	got, stats, err := Grade(cpu, g, all, Options{
-		Shards: 3,
+	broken := HostSpec{Argv: []string{"/nonexistent/sbst-worker"}}
+	got, stats, err := GradeDist(cpu, g, all, DistOptions{
+		Hosts:  []HostSpec{broken, pipeHost(t, newTestHost(t))},
 		Sample: opt.Sample,
 		Seed:   opt.Seed,
-		Spawn:  broken,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameResult(t, got, want)
-	if stats.Fallbacks != stats.Shards {
-		t.Fatalf("want every shard to fall back, got %+v", stats)
+	if stats.Hosts[0].Err == "" || got.Stats.DistHosts != 1 {
+		t.Fatalf("unlaunchable host not excluded: %+v, DistHosts %d", stats.Hosts[0], got.Stats.DistHosts)
 	}
-	if stats.Launched != 0 {
-		t.Fatalf("launched %d workers through a broken spawner", stats.Launched)
-	}
-	if got.Stats.ShardsFallback != int64(stats.Shards) {
-		t.Fatalf("SimStats fallback counter: %+v", got.Stats)
-	}
-}
-
-// TestHangingWorkerIsReaped asserts the no-zombie guarantee: a worker
-// process that hangs before writing a single response frame is killed by
-// the attempt timeout AND reaped — its exit status is collected on every
-// failure path, so no dead child lingers in the process table for the
-// life of the coordinator. Grade only returns after all shard goroutines
-// (and their reaping defers) finish, so inspecting ProcessState here is
-// race-free.
-func TestHangingWorkerIsReaped(t *testing.T) {
-	cpu := getCPU(t)
-	g := captureTestGolden(t, 60)
-	all := fault.Universe(cpu.Netlist)
-	var mu sync.Mutex
-	var spawned []*execWorker
-	// sleep is spawned directly (no shell) so Kill hits the hanging
-	// process itself rather than a parent whose orphan would keep the
-	// stdout pipe open.
-	hang := ExecSpawner("sleep", "60")
-	capture := func() (Worker, error) {
-		w, err := hang()
-		if err == nil {
-			mu.Lock()
-			spawned = append(spawned, w.(*execWorker))
-			mu.Unlock()
-		}
-		return w, err
-	}
-	_, _, err := Grade(cpu, g, all, Options{
-		Shards:  2,
-		Sample:  128,
-		Seed:    5,
-		Timeout: 100 * time.Millisecond,
-		Spawn:   capture,
-	})
-	if err == nil {
-		t.Fatal("want the hung workers to fail the run")
-	}
-	if len(spawned) == 0 {
-		t.Fatal("spawner was never called")
-	}
-	for i, w := range spawned {
-		if w.cmd.ProcessState == nil {
-			t.Fatalf("worker %d was killed but never reaped (zombie pid %d)", i, w.cmd.Process.Pid)
-		}
+	_, _, err = GradeDist(cpu, g, all, DistOptions{Hosts: []HostSpec{broken}, Sample: opt.Sample, Seed: opt.Seed})
+	if err == nil || !strings.Contains(err.Error(), "no reachable hosts") {
+		t.Fatalf("only host unlaunchable: err = %v, want no reachable hosts", err)
 	}
 }

@@ -8,62 +8,9 @@ import (
 	"sync"
 )
 
-// Worker is one spawned shard worker: a request sink (Write goes to the
-// worker's stdin), a response source (Read comes from its stdout), and
-// lifecycle control. The coordinator writes one Request frame, calls
-// CloseWrite, reads one Response frame, then Waits.
-type Worker interface {
-	io.Writer
-	io.Reader
-	// CloseWrite signals end of requests (closes the worker's stdin).
-	CloseWrite() error
-	// Wait reaps the worker after its response stream is drained and
-	// returns its terminal status (non-nil for a nonzero exit).
-	Wait() error
-	// Kill hard-stops the worker; pending Reads fail. Used by the
-	// coordinator's timeout. Safe to call more than once.
-	Kill()
-}
-
-// Spawner starts one worker. The coordinator calls it once per shard
-// attempt; returning an error means the worker could not be started at
-// all, which the coordinator answers with an in-process fallback rather
-// than a retry.
-type Spawner func() (Worker, error)
-
-// SelfSpawner re-executes the current binary with the worker-mode
-// environment marker set. The binary must call ServeIfWorker early in
-// main (or TestMain) — cmd/sbst and the repository's benchmark binary do.
-func SelfSpawner() Spawner {
-	return func() (Worker, error) {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("shard: resolve own binary: %w", err)
-		}
-		return startExec(exe)
-	}
-}
-
-// ExecSpawner spawns the given argv with the worker-mode environment
-// marker set, for pointing the coordinator at an explicit worker binary
-// (e.g. a remote-shell wrapper).
-func ExecSpawner(argv ...string) Spawner {
-	return func() (Worker, error) {
-		if len(argv) == 0 {
-			return nil, fmt.Errorf("shard: empty worker argv")
-		}
-		return startExec(argv[0], argv[1:]...)
-	}
-}
-
-func startExec(name string, args ...string) (Worker, error) {
-	return startExecEnv([]string{EnvVar + "=1"}, name, args...)
-}
-
-// startExecEnv spawns argv with extra environment entries appended — the
-// shared launcher of one-shot workers (EnvVar) and persistent session
-// workers (EnvSession, used by the distributed coordinator's exec
-// transport). Environment only reaches direct children; wrappers that
+// startExecEnv spawns argv with extra environment entries appended: the
+// launcher of exec hosts, whose session runs over the child's
+// stdin/stdout. Environment only reaches direct children; wrappers that
 // hop machines (ssh) need the explicit CLI flags instead.
 func startExecEnv(extraEnv []string, name string, args ...string) (*execWorker, error) {
 	cmd := exec.Command(name, args...)
@@ -97,10 +44,9 @@ func (w *execWorker) Write(p []byte) (int, error) { return w.in.Write(p) }
 func (w *execWorker) Read(p []byte) (int, error)  { return w.out.Read(p) }
 func (w *execWorker) CloseWrite() error           { return w.in.Close() }
 
-// Wait is idempotent (exec.Cmd.Wait is not): the coordinator reaps every
-// worker on all exit paths of an attempt, which means a successful attempt
-// Waits twice — once to collect the exit status and once from the reaping
-// defer.
+// Wait is idempotent (exec.Cmd.Wait is not): a cancel, a timeout and the
+// end-of-run shutdown may all reap the same worker, and every exit path
+// must reap it so no dead child lingers as a zombie.
 func (w *execWorker) Wait() error {
 	w.waitOnce.Do(func() { w.waitErr = w.cmd.Wait() })
 	return w.waitErr
@@ -110,50 +56,5 @@ func (w *execWorker) Kill() {
 		if w.cmd.Process != nil {
 			w.cmd.Process.Kill()
 		}
-	})
-}
-
-// InProcSpawner runs RunWorker in a goroutine over in-memory pipes: the
-// same protocol path — frames, cache loads, simulation — with no process
-// boundary. It is the spawner of the -race coordinator tests and a
-// no-subprocess deployment option.
-func InProcSpawner() Spawner {
-	return func() (Worker, error) {
-		reqR, reqW := io.Pipe()
-		respR, respW := io.Pipe()
-		w := &inprocWorker{reqW: reqW, respR: respR, done: make(chan struct{})}
-		go func() {
-			err := RunWorker(reqR, respW)
-			respW.CloseWithError(err)
-			reqR.CloseWithError(err)
-			w.err = err
-			close(w.done)
-		}()
-		return w, nil
-	}
-}
-
-type inprocWorker struct {
-	reqW  *io.PipeWriter
-	respR *io.PipeReader
-
-	done chan struct{}
-	err  error
-
-	killOnce sync.Once
-}
-
-func (w *inprocWorker) Write(p []byte) (int, error) { return w.reqW.Write(p) }
-func (w *inprocWorker) Read(p []byte) (int, error)  { return w.respR.Read(p) }
-func (w *inprocWorker) CloseWrite() error           { return w.reqW.Close() }
-func (w *inprocWorker) Wait() error {
-	<-w.done
-	return w.err
-}
-func (w *inprocWorker) Kill() {
-	w.killOnce.Do(func() {
-		err := fmt.Errorf("shard: worker killed")
-		w.reqW.CloseWithError(err)
-		w.respR.CloseWithError(err)
 	})
 }

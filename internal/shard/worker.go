@@ -2,25 +2,18 @@ package shard
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"os"
 
 	"repro/internal/cache"
-	"repro/internal/fault"
 )
 
-// EnvVar is the environment marker that flips a binary embedding this
-// package into one-shot worker mode; see ServeIfWorker. The coordinator's
-// default spawner re-executes the current binary with it set.
-const EnvVar = "SBST_SHARD_WORKER"
-
-// EnvSession flips a binary into persistent session-worker mode: it
-// serves one distributed-grading session (Host.ServeSession) on
-// stdin/stdout until the coordinator hangs up. The exec transport of
-// GradeDist sets it on the argv it spawns; for transports that do not
-// propagate environment (a real ssh hop), sbst exposes the equivalent
-// -shard-session flag instead.
+// EnvSession flips a binary into session-worker mode: it serves one
+// grading session (Host.ServeSession) on stdin/stdout until the
+// coordinator hangs up. The exec transport of GradeDist sets it on the
+// argv it spawns (LocalHosts, and so `-shards N`, relies on it); for
+// transports that do not propagate environment (a real ssh hop), sbst
+// exposes the equivalent -shard-session flag instead.
 const EnvSession = "SBST_SHARD_SESSION"
 
 // EnvHostAddr flips a binary into TCP host-daemon mode: it listens on
@@ -32,16 +25,17 @@ const EnvHostAddr = "SBST_SHARD_HOSTD"
 
 // EnvCacheDir names the worker-side artifact cache directory for the
 // session and host-daemon modes; empty means a private temporary
-// directory, removed when the process exits cleanly.
+// directory, removed when the process exits cleanly. GradeDist sets it
+// to its own cache directory on the exec hosts it spawns, so a child on
+// the same machine finds every artifact already present.
 const EnvCacheDir = "SBST_SHARD_CACHE"
 
 // ServeIfWorker turns the current process into a shard worker when one of
-// the worker environment markers is set — a one-shot stdin/stdout worker
-// (EnvVar), a persistent stdio session worker (EnvSession), or a TCP host
-// daemon (EnvHostAddr) — and exits without returning. Call it first thing
-// in main (and in TestMain for test binaries that shard), before flag
-// parsing, so any binary the coordinator re-executes speaks the protocol
-// regardless of its own CLI.
+// the worker environment markers is set — a stdio session worker
+// (EnvSession) or a TCP host daemon (EnvHostAddr) — and exits without
+// returning. Call it first thing in main (and in TestMain for test
+// binaries that shard), before flag parsing, so any binary the
+// coordinator re-executes speaks the protocol regardless of its own CLI.
 func ServeIfWorker() {
 	if addr := os.Getenv(EnvHostAddr); addr != "" {
 		h, cleanup, err := hostFromEnv()
@@ -59,10 +53,6 @@ func ServeIfWorker() {
 		cleanup()
 		exitWorker("shard session", err)
 	}
-	if os.Getenv(EnvVar) == "" {
-		return
-	}
-	exitWorker("shard worker", RunWorker(os.Stdin, os.Stdout))
 }
 
 func exitWorker(mode string, err error) {
@@ -133,55 +123,4 @@ func serveHostTCP(h *Host, addr string) error {
 	}
 	fmt.Printf("shard host listening on %s\n", ln.Addr())
 	return h.Serve(ln)
-}
-
-// RunWorker serves exactly one shard-grading request: decode a Request
-// frame from r, grade the shard, write a Response frame to w. Worker-side
-// grading problems (missing artifact, hash mismatch) travel back in
-// Response.Err; the returned error covers only protocol/IO failure, where
-// no response could be delivered at all.
-func RunWorker(r io.Reader, w io.Writer) error {
-	var req Request
-	if err := ReadFrame(r, &req); err != nil {
-		return err
-	}
-	return WriteFrame(w, grade(&req))
-}
-
-// grade runs one shard's fault simulation from a request.
-func grade(req *Request) *Response {
-	fail := func(format string, args ...any) *Response {
-		return &Response{Shard: req.Shard, Err: fmt.Sprintf(format, args...)}
-	}
-	if h := fault.UniverseHash(req.Faults); h != req.UniverseHash {
-		return fail("shard %d fault subset hashes to %s, request says %s", req.Shard, h, req.UniverseHash)
-	}
-	c, err := cache.Open(req.CacheDir)
-	if err != nil {
-		return fail("shard %d: %v", req.Shard, err)
-	}
-	cpu, err := c.GetCPU(req.CPUKey)
-	if err != nil {
-		return fail("shard %d: %v", req.Shard, err)
-	}
-	golden, err := c.GetGoldenArtifact(req.GoldenKey)
-	if err != nil {
-		return fail("shard %d: %v", req.Shard, err)
-	}
-	res, err := fault.Simulate(cpu, golden, req.Faults, fault.Options{
-		Workers:   req.Workers,
-		Engine:    req.Engine,
-		LaneWords: req.LaneWords,
-	})
-	if err != nil {
-		return fail("shard %d: %v", req.Shard, err)
-	}
-	return &Response{
-		Shard:           req.Shard,
-		UniverseHash:    req.UniverseHash,
-		Cycles:          res.Cycles,
-		DetectedAt:      res.DetectedAt,
-		SignatureGroups: res.SignatureGroups,
-		Stats:           res.Stats,
-	}
 }
