@@ -34,7 +34,10 @@
 // content hash, host capacities come from "=WEIGHT" suffixes or
 // -calibrate, and each grading call merges to a result bit-identical to
 // the in-process path. -shards N > 1 is the same coordinator over N
-// local sessions of this binary, which open the coordinator's cache.
+// local sessions of this binary, which open the coordinator's cache;
+// with -workers 0 each session grades on GOMAXPROCS/N workers (at least
+// one), so the sessions share this machine's cores instead of each
+// fanning out across all of them.
 // -shard-timeout bounds one dispatch attempt's wall clock (0 = the
 // coordinator's default), and -stats folds the shard counters (live
 // hosts, dispatches, retries, bytes pushed, straggler re-dispatches,
@@ -162,7 +165,7 @@ func main() {
 				Timeout:   *shardTimeout,
 				Engine:    opt.Engine,
 				LaneWords: opt.LaneWords,
-				Workers:   opt.Workers,
+				Workers:   shard.FlagWorkers(opt.Workers, *shards),
 				Sample:    opt.Sample,
 				Seed:      opt.Seed,
 				Cache:     disk,

@@ -46,6 +46,9 @@
 // -shards N > 1 is the same coordinator over N local sessions: N child
 // processes of this binary that open the coordinator's artifact cache
 // (-cache when set, else a temporary directory), so nothing is pushed.
+// With -workers 0 each session grades on GOMAXPROCS/N workers (at least
+// one), so the sessions share this machine's cores instead of each
+// fanning out across all of them.
 // -shards and -hosts are mutually exclusive; -shards 1 grades
 // in-process.
 package main
@@ -259,7 +262,7 @@ func main() {
 				Timeout:   *shardTimeout,
 				Engine:    eng,
 				LaneWords: *lanes,
-				Workers:   *workers,
+				Workers:   shard.FlagWorkers(*workers, *shards),
 				Sample:    *sample,
 				Seed:      *seed,
 				Cache:     disk,

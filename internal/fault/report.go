@@ -109,10 +109,3 @@ func (rep *Report) ByName(name string) (CompCoverage, bool) {
 	}
 	return CompCoverage{}, false
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -30,8 +31,13 @@ const (
 
 // Options tunes a fault-simulation run.
 type Options struct {
-	// Workers is the number of parallel simulation goroutines;
-	// 0 means GOMAXPROCS.
+	// Workers is the number of parallel simulation goroutines; 0 means
+	// GOMAXPROCS. With more than one, Simulate balances the plan across
+	// them: a pass or checkpoint window costing more than a worker's fair
+	// share of the plan's Cost is split into contiguous parts, so even a
+	// one-pass plan keeps every worker busy. Each worker builds its own
+	// simulators, one per lane width it grades, on the netlist's shared
+	// compiled form. Outcomes never depend on Workers.
 	Workers int
 	// LaneWords caps the per-pass lane width in 64-lane words: a power of
 	// two from 1 to 64 words carries 64..4096 faulty machines per pass. 0
@@ -192,30 +198,6 @@ func Simulate(cpu *plasma.CPU, golden *plasma.Golden, faults []Fault, opt Option
 	jobs, skipped := packPasses(cpu.Netlist, golden, faults, opt.Engine, maxW)
 	res.Stats.SkippedFaults = skipped
 	res.Stats.setGoldenBytes(golden)
-
-	// The differential engine dispatches whole checkpoint windows (maximal
-	// runs of consecutive planned passes whose start cycles share a
-	// CheckpointFloor) instead of single passes, so one worker grades a
-	// window's passes back to back on a warm simulator off one rolling
-	// golden-state reconstruction. The oblivious engine packs everything
-	// at cycle 0, so it dispatches single passes.
-	var windows [][]PassGroup
-	if differential(opt.Engine, golden) {
-		windows = groupWindows(jobs, golden)
-	} else {
-		windows = make([][]PassGroup, len(jobs))
-		for i := range jobs {
-			windows[i] = jobs[i : i+1]
-		}
-	}
-
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(windows) {
-		workers = len(windows)
-	}
 	if len(jobs) == 0 {
 		if opt.CollectInto != nil {
 			opt.CollectInto.Add(&res.Stats)
@@ -223,14 +205,21 @@ func Simulate(cpu *plasma.CPU, golden *plasma.Golden, faults []Fault, opt Option
 		return res, nil
 	}
 
-	queue := make(chan []PassGroup, len(windows))
-	for _, win := range windows {
-		queue <- win
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	units := dispatch(cpu.Netlist, golden, faults, jobs, opt.Engine, workers, &res.Stats)
+	workers = min(workers, len(units))
+
+	queue := make(chan []PassGroup, len(units))
+	for _, u := range units {
+		queue <- u
 	}
 	close(queue)
 
 	// Each worker is a Warm grader: one simulator per pass width it sees,
-	// warm-restarted from window to window, and the only stats collector.
+	// warm-restarted from unit to unit, and the only stats collector.
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	stats := make([]SimStats, workers)
@@ -336,29 +325,43 @@ func packPasses(n *gate.Netlist, golden *plasma.Golden, faults []Fault, engine E
 	var jobs []PassGroup
 	for lo := 0; lo < len(order); {
 		var w, hi int
-		var start int32
 		if diff {
-			w, hi, start = chooseWidth(order, lo, maxW, golden)
+			w, hi = chooseWidth(order, lo, maxW, golden)
 		} else {
-			rem := len(order) - lo
-			w = maxW
-			if rem < 64*maxW {
-				w = 1
-				for 64*w < rem && w < maxW {
-					w *= 2
-				}
-			}
+			w = min(narrowestWidth(len(order)-lo), maxW)
 			hi = min(lo+64*w, len(order))
 		}
-		idxs := make([]int, hi-lo)
-		for k := range idxs {
-			idxs[k] = order[lo+k].idx
-		}
-		cost := passCost(golden, start, order[lo:hi], w) * float64(hi-lo)
-		jobs = append(jobs, PassGroup{Idxs: idxs, Start: start, Width: w, Cost: cost})
+		jobs = append(jobs, newPass(golden, order[lo:hi], w, diff))
 		lo = hi
 	}
 	return jobs, skipped
+}
+
+// narrowestWidth is the narrowest lane width, in words, that holds n
+// faults (at least one word).
+func narrowestWidth(n int) int {
+	w := 1
+	for 64*w < n && w < gate.MaxLaneWords {
+		w *= 2
+	}
+	return w
+}
+
+// newPass packs one run of the packing order into a pass of width w,
+// starting at the run's earliest activation under the differential engine
+// (at cycle 0 otherwise), with its absolute cost from the width policy's
+// model.
+func newPass(golden *plasma.Golden, run []actFault, w int, diff bool) PassGroup {
+	idxs := make([]int, len(run))
+	for k := range run {
+		idxs[k] = run[k].idx
+	}
+	var start int32
+	if diff {
+		start = minAct(run)
+	}
+	cost := passCost(golden, start, run, w) * float64(len(run))
+	return PassGroup{Idxs: idxs, Start: start, Width: w, Cost: cost}
 }
 
 // groupWindows splits the packed pass plan into maximal runs of
@@ -378,6 +381,112 @@ func groupWindows(jobs []PassGroup, g *plasma.Golden) [][]PassGroup {
 		lo = hi
 	}
 	return wins
+}
+
+// dispatch turns a pass plan into the work units Simulate's workers take
+// from their queue. One worker takes the plan's checkpoint windows in plan
+// order (single passes on the oblivious engine, which packs every pass at
+// cycle 0), so each window's passes run back to back on one warm
+// simulator. With more workers, the plan is balanced against a worker's
+// fair share of its Cost (plan cost ÷ workers): a pass costing more is cut
+// into at most workers contiguous parts (splitPass), a window costing more
+// is cut into contiguous runs of passes, and the units are queued largest
+// first, so no worker idles behind one oversized pass or window. Outcomes
+// do not depend on the dispatch: each fault's lane runs the same
+// trajectory in any pass that starts at or before its activation.
+//
+// Only a multi-worker dispatch records its shape in st (DispatchUnits,
+// PassesSplit, MaxUnitShare); a one-worker run's units are the plan's
+// windows, which the fusion counters already describe.
+func dispatch(n *gate.Netlist, golden *plasma.Golden, faults []Fault, jobs []PassGroup, engine Engine, workers int, st *SimStats) [][]PassGroup {
+	diff := differential(engine, golden)
+	var total float64
+	for _, j := range jobs {
+		total += j.Cost
+	}
+	if workers <= 1 || total <= 0 {
+		return windowsOf(jobs, golden, diff)
+	}
+	fair := total / float64(workers)
+
+	var passes []PassGroup
+	var cones []uint64
+	for _, j := range jobs {
+		k := min(workers, len(j.Idxs), int(math.Ceil(j.Cost/fair)))
+		if k < 2 {
+			passes = append(passes, j)
+			continue
+		}
+		if diff && cones == nil {
+			cones = n.FanoutConeSigs()
+		}
+		passes = append(passes, splitPass(n, golden, faults, cones, j, k, diff)...)
+		st.PassesSplit++
+	}
+
+	type unit struct {
+		passes []PassGroup
+		cost   float64
+	}
+	var units []unit
+	var unitsCost float64
+	for _, win := range windowsOf(passes, golden, diff) {
+		lo := 0
+		var cost float64
+		for i, j := range win {
+			if i > lo && cost+j.Cost > fair {
+				units = append(units, unit{win[lo:i], cost})
+				lo, cost = i, 0
+			}
+			cost += j.Cost
+			unitsCost += j.Cost
+		}
+		units = append(units, unit{win[lo:], cost})
+	}
+	sort.SliceStable(units, func(a, b int) bool { return units[a].cost > units[b].cost })
+
+	out := make([][]PassGroup, len(units))
+	for i, u := range units {
+		out[i] = u.passes
+	}
+	st.DispatchUnits = int64(len(units))
+	st.MaxUnitShare = units[0].cost / unitsCost
+	return out
+}
+
+// windowsOf is the one-worker dispatch: the plan's checkpoint windows
+// under the differential engine, single passes otherwise.
+func windowsOf(jobs []PassGroup, g *plasma.Golden, diff bool) [][]PassGroup {
+	if diff {
+		return groupWindows(jobs, g)
+	}
+	wins := make([][]PassGroup, len(jobs))
+	for i := range jobs {
+		wins[i] = jobs[i : i+1]
+	}
+	return wins
+}
+
+// splitPass cuts a planned pass into k contiguous parts of near-equal
+// fault count, each packed as packPasses packs a run of its order: the
+// narrowest lane width that holds the part, the part's own earliest
+// activation as its start, and the part's own cost.
+func splitPass(n *gate.Netlist, golden *plasma.Golden, faults []Fault, cones []uint64, j PassGroup, k int, diff bool) []PassGroup {
+	order := make([]actFault, len(j.Idxs))
+	for i, idx := range j.Idxs {
+		f := faults[idx]
+		order[i] = actFault{idx: idx}
+		if diff {
+			order[i].act = golden.ActivationCycle(n, f.Site)
+			order[i].cone = gate.ConeOf(cones, f.Site)
+		}
+	}
+	parts := make([]PassGroup, k)
+	for p := range parts {
+		lo, hi := p*len(order)/k, (p+1)*len(order)/k
+		parts[p] = newPass(golden, order[lo:hi], narrowestWidth(hi-lo), diff)
+	}
+	return parts
 }
 
 // stateCursor reconstructs the golden flip-flop state entering ascending

@@ -38,6 +38,16 @@ type SimStats struct {
 	FusedWindows      int64
 	ReplaySavedCycles int64
 	HookDiffs         int64
+	// Dispatch shape of a multi-worker Simulate (zero when one worker
+	// grades the plan's checkpoint windows in order): DispatchUnits is the
+	// number of work units queued, PassesSplit the number of planned
+	// passes cut into parts because one cost more than a worker's fair
+	// share of the plan, and MaxUnitShare the largest unit's share of the
+	// dispatched cost (1/workers is a perfect balance; merged stats keep
+	// the largest).
+	DispatchUnits int64
+	PassesSplit   int64
+	MaxUnitShare  float64
 	// SkippedFaults counts faults never simulated because their site never
 	// holds the activating value anywhere in the golden run (provably
 	// undetectable by this program).
@@ -123,6 +133,9 @@ func (s *SimStats) Add(other *SimStats) {
 	s.FusedWindows += other.FusedWindows
 	s.ReplaySavedCycles += other.ReplaySavedCycles
 	s.HookDiffs += other.HookDiffs
+	s.DispatchUnits += other.DispatchUnits
+	s.PassesSplit += other.PassesSplit
+	s.MaxUnitShare = max(s.MaxUnitShare, other.MaxUnitShare)
 	s.SkippedFaults += other.SkippedFaults
 	s.GateEvals += other.GateEvals
 	s.Events += other.Events
@@ -216,6 +229,10 @@ func (s *SimStats) String() string {
 	fmt.Fprintf(&b, "fast-forwarded    %d cycles\n", s.FastForwarded)
 	fmt.Fprintf(&b, "replay fusion     %d windows fused, %d replay cycles saved, %d hook-set diffs\n",
 		s.FusedWindows, s.ReplaySavedCycles, s.HookDiffs)
+	if s.DispatchUnits > 0 {
+		fmt.Fprintf(&b, "dispatch          %d units, %d passes split, largest unit %.2f of cost\n",
+			s.DispatchUnits, s.PassesSplit, s.MaxUnitShare)
+	}
 	fmt.Fprintf(&b, "skipped faults    %d (never activated)\n", s.SkippedFaults)
 	fmt.Fprintf(&b, "gate evals        %d (%.1f/cycle)\n", s.GateEvals, s.EvalsPerCycle())
 	fmt.Fprintf(&b, "events            %d\n", s.Events)

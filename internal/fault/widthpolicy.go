@@ -105,28 +105,26 @@ func wordScale(w int) float64 {
 }
 
 // chooseWidth picks the lane width for the next pass of the
-// activation-sorted order starting at lo. It returns the chosen width, the
-// end of the taken range, and the earliest activation cycle in it. The
+// activation-sorted order starting at lo. It returns the chosen width and
+// the end of the taken range. The
 // estimated pass cost is the simulated span (golden cycles from the
 // checkpoint boundary below the earliest activation to the end of the run)
 // times the modeled per-cycle cost; dividing by the number of faults
 // carried makes widths with idle lanes pay for them.
-func chooseWidth(order []actFault, lo, maxW int, golden *plasma.Golden) (w, hi int, start int32) {
+func chooseWidth(order []actFault, lo, maxW int, golden *plasma.Golden) (w, hi int) {
 	rem := len(order) - lo
 	bestW, bestHi := 1, lo+min(64, rem)
-	bestStart := minAct(order[lo:bestHi])
-	bestCost := passCost(golden, bestStart, order[lo:bestHi], 1)
+	bestCost := passCost(golden, minAct(order[lo:bestHi]), order[lo:bestHi], 1)
 	for cw := 2; cw <= maxW; cw *= 2 {
 		chi := lo + min(64*cw, rem)
-		cstart := minAct(order[lo:chi])
-		if c := passCost(golden, cstart, order[lo:chi], cw); c <= bestCost {
-			bestW, bestHi, bestStart, bestCost = cw, chi, cstart, c
+		if c := passCost(golden, minAct(order[lo:chi]), order[lo:chi], cw); c <= bestCost {
+			bestW, bestHi, bestCost = cw, chi, c
 		}
 		if chi == len(order) {
 			break // wider candidates would carry the same faults for more cost
 		}
 	}
-	return bestW, bestHi, bestStart
+	return bestW, bestHi
 }
 
 // passCost estimates the per-fault grading cost of one pass of width w

@@ -181,68 +181,46 @@ type oblRun struct {
 	kind  Kind
 	gates []runGate
 	sigs  []Sig
-	flags []uint8
 }
 
 // oblPlan groups the topological order into per-level same-kind runs for
-// batched oblivious evaluation at the SIMD widths. Built once at Sim
-// construction (part of the compiled kernel plan) and reused: the
-// grouping depends only on the netlist and the lane width.
+// batched oblivious evaluation at the SIMD widths. Part of a width's
+// shared compiled plan: the grouping depends only on the netlist and the
+// lane width, and each simulator brings its own kernel flag scratch
+// (Sim.oblFlags, maxRun bytes).
 type oblPlan struct {
 	level  []int32    // per signal: combinational level (sources at 0)
 	levels [][]oblRun // runs by level; index 0 unused (sources)
+	maxRun int        // longest run, in gates
 }
 
-func (s *Sim) oblivPlan() *oblPlan {
-	if s.obl == nil {
-		s.obl = s.buildOblivPlan()
-	}
-	return s.obl
-}
-
-// buildOblivPlan compiles the oblivious level plan; requires the
-// compiled runGate records (s.rg), so only call at the SIMD widths.
-func (s *Sim) buildOblivPlan() *oblPlan {
-	ng := len(s.n.Gates)
-	p := &oblPlan{level: make([]int32, ng)}
-	var maxLevel int32
-	for _, sig := range s.order {
-		g := &s.n.Gates[sig]
-		lv := int32(0)
-		for i := 0; i < g.Kind.NumInputs(); i++ {
-			if l := p.level[g.In[i]] + 1; l > lv {
-				lv = l
-			}
-		}
-		p.level[sig] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-	}
-	byLevel := make([][]Sig, maxLevel+1)
-	for _, sig := range s.order {
+// buildOblivPlan compiles the oblivious level plan of one SIMD width from
+// the netlist's levels and that width's runGate records.
+func buildOblivPlan(n *Netlist, c *compiled, rg []runGate) *oblPlan {
+	p := &oblPlan{level: c.level}
+	byLevel := make([][]Sig, c.maxLevel+1)
+	for _, sig := range c.order {
 		lv := p.level[sig]
 		byLevel[lv] = append(byLevel[lv], sig)
 	}
-	p.levels = make([][]oblRun, maxLevel+1)
-	for lv := int32(1); lv <= maxLevel; lv++ {
+	p.levels = make([][]oblRun, c.maxLevel+1)
+	for lv := int32(1); lv <= c.maxLevel; lv++ {
 		var idx [numKinds]int
 		for i := range idx {
 			idx[i] = -1
 		}
 		for _, sig := range byLevel[lv] {
-			g := &s.n.Gates[sig]
+			g := &n.Gates[sig]
 			if idx[g.Kind] < 0 {
 				idx[g.Kind] = len(p.levels[lv])
 				p.levels[lv] = append(p.levels[lv], oblRun{kind: g.Kind})
 			}
 			r := &p.levels[lv][idx[g.Kind]]
-			r.gates = append(r.gates, s.rg[sig])
+			r.gates = append(r.gates, rg[sig])
 			r.sigs = append(r.sigs, sig)
 		}
 		for i := range p.levels[lv] {
-			r := &p.levels[lv][i]
-			r.flags = make([]uint8, len(r.gates))
+			p.maxRun = max(p.maxRun, len(p.levels[lv][i].gates))
 		}
 	}
 	return p
@@ -255,15 +233,16 @@ func (s *Sim) buildOblivPlan() *oblPlan {
 // scalar (with patchHooks) after their level's batches and before any
 // higher level reads them.
 func (s *Sim) evalLevelsBatched() {
-	p := s.oblivPlan()
+	p := s.obl
 	w := s.w
 	val := s.val
 	for lv := 1; lv < len(p.levels); lv++ {
 		for i := range p.levels[lv] {
 			r := &p.levels[lv][i]
-			s.dispatchBatch(r.kind, r.gates, r.flags)
+			flags := s.oblFlags[:len(r.gates)]
+			s.dispatchBatch(r.kind, r.gates, flags)
 			for j, sig := range r.sigs {
-				s.uni[sig] = r.flags[j]&flagUniform != 0
+				s.uni[sig] = flags[j]&flagUniform != 0
 			}
 		}
 		if len(s.hooked) != 0 {

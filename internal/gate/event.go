@@ -26,7 +26,10 @@ package gate
 // simulator fully dirty, and the next Eval falls back to one oblivious
 // sweep.
 
-// incState is the bookkeeping of the event-driven evaluator.
+// incState is the bookkeeping of the event-driven evaluator. The fan-out
+// CSR, flip-flop list and level-queue offsets are the netlist's shared
+// compiled form (compile.go), read-only here; everything else is this
+// simulator's own.
 type incState struct {
 	// qstate holds each signal's combinational level (sources at 0),
 	// negated while the signal waits in its level queue. Folding the
@@ -36,15 +39,15 @@ type incState struct {
 	qstate   []int32
 	maxLevel int32
 
-	// CSR fan-out of each signal, split into combinational consumers
-	// (scheduled into level queues) and flip-flop D inputs (scheduled
-	// into the latch-pending set).
+	// Shared CSR fan-out of each signal, split into combinational
+	// consumers (scheduled into level queues) and flip-flop D inputs
+	// (scheduled into the latch-pending set).
 	combIdx []int32
 	combFan []Sig
 	dffIdx  []int32
 	dffFan  []Sig
 
-	dffs []Sig // every flip-flop signal, for full latches
+	dffs []Sig // shared: every flip-flop signal, for full latches
 
 	// Pending combinational gates, segmented by level: level lv's queue
 	// occupies qbuf[qoff[lv] : qpos[lv]], qpos being the running write
@@ -52,7 +55,7 @@ type incState struct {
 	// sized to the level's gate population (qstate deduplicates, so it
 	// cannot overflow). One flat preallocated buffer keeps an enqueue to
 	// a single indexed store — the slice-append variant dominated sweep
-	// profiles once the kernels went SIMD.
+	// profiles once the kernels went SIMD. qoff is shared.
 	qbuf []Sig
 	qoff []int32
 	qpos []int32
@@ -78,86 +81,35 @@ func NewEventSim(n *Netlist) (*Sim, error) { return NewEventSimWidth(n, 1) }
 
 // NewEventSimWidth is NewEventSim at w lane words (64*w lanes) per signal.
 func NewEventSimWidth(n *Netlist, w int) (*Sim, error) {
-	s, err := NewSimWidth(n, w)
+	s, c, err := newSim(n, w)
 	if err != nil {
 		return nil, err
 	}
-	s.inc = newIncState(n, s.order)
+	s.inc = newIncState(c)
 	return s, nil
 }
 
 // EventDriven reports whether this simulator evaluates incrementally.
 func (s *Sim) EventDriven() bool { return s.inc != nil }
 
-func newIncState(n *Netlist, order []Sig) *incState {
-	ng := len(n.Gates)
-	inc := &incState{
-		qstate:     make([]int32, ng),
+func newIncState(c *compiled) *incState {
+	ng := len(c.level)
+	return &incState{
+		qstate:     append([]int32(nil), c.level...),
+		maxLevel:   c.maxLevel,
+		combIdx:    c.combIdx,
+		combFan:    c.combFan,
+		dffIdx:     c.dffIdx,
+		dffFan:     c.dffFan,
+		dffs:       c.dffs,
+		qbuf:       make([]Sig, len(c.order)),
+		qoff:       c.qoff,
+		qpos:       append([]int32(nil), c.qoff[:c.maxLevel+1]...),
 		dffPendSet: make([]bool, ng),
 		dffChgSet:  make([]bool, ng),
 		allDirty:   true,
 		latchAll:   true,
 	}
-	for _, sig := range order {
-		g := &n.Gates[sig]
-		lv := int32(0)
-		for p := 0; p < g.Kind.NumInputs(); p++ {
-			if l := inc.qstate[g.In[p]] + 1; l > lv {
-				lv = l
-			}
-		}
-		inc.qstate[sig] = lv
-		if lv > inc.maxLevel {
-			inc.maxLevel = lv
-		}
-	}
-	combCnt := make([]int32, ng+1)
-	dffCnt := make([]int32, ng+1)
-	for i := range n.Gates {
-		g := &n.Gates[i]
-		if g.Kind == DFF {
-			inc.dffs = append(inc.dffs, Sig(i))
-			dffCnt[g.In[0]+1]++
-			continue
-		}
-		for p := 0; p < g.Kind.NumInputs(); p++ {
-			combCnt[g.In[p]+1]++
-		}
-	}
-	for i := 0; i < ng; i++ {
-		combCnt[i+1] += combCnt[i]
-		dffCnt[i+1] += dffCnt[i]
-	}
-	inc.combIdx, inc.dffIdx = combCnt, dffCnt
-	inc.combFan = make([]Sig, combCnt[ng])
-	inc.dffFan = make([]Sig, dffCnt[ng])
-	combPos := append([]int32(nil), combCnt[:ng]...)
-	dffPos := append([]int32(nil), dffCnt[:ng]...)
-	for i := range n.Gates {
-		g := &n.Gates[i]
-		if g.Kind == DFF {
-			d := g.In[0]
-			inc.dffFan[dffPos[d]] = Sig(i)
-			dffPos[d]++
-			continue
-		}
-		for p := 0; p < g.Kind.NumInputs(); p++ {
-			in := g.In[p]
-			inc.combFan[combPos[in]] = Sig(i)
-			combPos[in]++
-		}
-	}
-	lvlCnt := make([]int32, inc.maxLevel+1)
-	for _, sig := range order {
-		lvlCnt[inc.qstate[sig]]++
-	}
-	inc.qoff = make([]int32, inc.maxLevel+2)
-	for lv := int32(0); lv <= inc.maxLevel; lv++ {
-		inc.qoff[lv+1] = inc.qoff[lv] + lvlCnt[lv]
-	}
-	inc.qbuf = make([]Sig, len(order))
-	inc.qpos = append([]int32(nil), inc.qoff[:inc.maxLevel+1]...)
-	return inc
 }
 
 // enqueue schedules one combinational gate into its level's queue

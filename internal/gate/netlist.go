@@ -3,6 +3,7 @@ package gate
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Sig identifies a signal in a netlist: the index of the gate driving it.
@@ -42,6 +43,11 @@ type Netlist struct {
 	outputs []portDef
 
 	inputByName map[string]int
+
+	// comp is the compiled form every simulator on the netlist shares,
+	// built by the first one (compile.go); compMu guards building it.
+	compMu sync.Mutex
+	comp   *compiled
 }
 
 type portDef struct {
@@ -191,6 +197,16 @@ func (n *Netlist) CellCount(countPseudo bool) map[Kind]int {
 // existing signal, arity matches the kind, and the combinational part is
 // acyclic. It returns a descriptive error for the first problem found.
 func (n *Netlist) Validate() error {
+	if err := n.checkPins(); err != nil {
+		return err
+	}
+	_, err := n.levelize()
+	return err
+}
+
+// checkPins is Validate without the cycle check: pin arity, pin targets and
+// component ids.
+func (n *Netlist) checkPins() error {
 	for i, g := range n.Gates {
 		want := g.Kind.NumInputs()
 		for p := 0; p < 3; p++ {
@@ -206,9 +222,6 @@ func (n *Netlist) Validate() error {
 		if int(g.Comp) >= len(n.CompNames) || g.Comp < 0 {
 			return fmt.Errorf("gate %d (%s): invalid component id %d", i, g.Kind, g.Comp)
 		}
-	}
-	if _, err := n.levelize(); err != nil {
-		return err
 	}
 	return nil
 }

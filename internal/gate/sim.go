@@ -51,11 +51,11 @@ type laneInject struct {
 // v = v&^pMask | pStuck. Lane masks of distinct faults never overlap (one
 // site occupies one lane), so OR-merging is exact.
 type patchEntry struct {
-	word             int32
-	in               bool // any armed input-pin injection in this word
-	aMask, aStuck    uint64
-	bMask, bStuck    uint64
-	cMask, cStuck    uint64
+	word              int32
+	in                bool // any armed input-pin injection in this word
+	aMask, aStuck     uint64
+	bMask, bStuck     uint64
+	cMask, cStuck     uint64
 	outMask, outStuck uint64
 }
 
@@ -69,10 +69,15 @@ type patchEntry struct {
 // A Step evaluates all combinational logic from the current inputs and DFF
 // outputs, then latches every DFF. Faults registered via SetFaults are
 // injected only into their assigned lane.
+//
+// Every Sim on one netlist shares the netlist's read-only compiled form
+// (compile.go), so a second simulator costs its own signal and hook state,
+// not another compile. A netlist must not be edited once a simulator has
+// been built on it.
 type Sim struct {
 	n     *Netlist
-	order []Sig
-	w     int // lane words per signal
+	order []Sig // shared: the compiled topological order
+	w     int   // lane words per signal
 
 	val   []uint64 // current signal values, signal s at [s*w : s*w+w]
 	state []uint64 // DFF latched state (and raw driven value for Input gates)
@@ -122,17 +127,20 @@ type Sim struct {
 	// goKern the width-bound Go run kernel, and rg the per-signal operand
 	// lane-word offsets every batched path reads instead of re-deriving
 	// them gate by gate (unused operands stay offset 0 — an in-bounds
-	// dead load, never a branch). batch holds the per-kind pending runs
-	// of the current sweep level, obl the oblivious level plan (also
-	// compiled at construction for w >= 8), kstats the dispatch counters.
-	tier   simdTier
-	kern   *[numKinds]batchKernel
-	comp   *[numKinds]compKernel
-	goKern func(val []uint64, kind Kind, gates []runGate, flags []uint8)
-	rg     []runGate
-	batch  [numKinds]batchList
-	obl    *oblPlan
-	kstats KernelStats
+	// dead load, never a branch). rg and obl, the oblivious level plan,
+	// are the netlist's shared per-width plan; batch holds this sim's
+	// per-kind pending runs of the current sweep level, oblFlags its
+	// kernel flag scratch for the oblivious runs, kstats the dispatch
+	// counters.
+	tier     simdTier
+	kern     *[numKinds]batchKernel
+	comp     *[numKinds]compKernel
+	goKern   func(val []uint64, kind Kind, gates []runGate, flags []uint8)
+	rg       []runGate
+	batch    [numKinds]batchList
+	obl      *oblPlan
+	oblFlags []uint8
+	kstats   KernelStats
 }
 
 // NewSim compiles a netlist into a width-1 (64-lane) simulator. The
@@ -142,23 +150,27 @@ func NewSim(n *Netlist) (*Sim, error) { return NewSimWidth(n, 1) }
 // NewSimWidth compiles a netlist into a simulator carrying w lane words
 // (64*w lanes) per signal. w must be a power of two in [1, MaxLaneWords].
 func NewSimWidth(n *Netlist, w int) (*Sim, error) {
+	s, _, err := newSim(n, w)
+	return s, err
+}
+
+// newSim builds a simulator's own state over the netlist's shared
+// compiled form, which it also returns.
+func newSim(n *Netlist, w int) (*Sim, *compiled, error) {
 	if w < 1 || w > MaxLaneWords || w&(w-1) != 0 {
-		return nil, fmt.Errorf("gate: lane words must be a power of two in [1,%d]; got %d", MaxLaneWords, w)
+		return nil, nil, fmt.Errorf("gate: lane words must be a power of two in [1,%d]; got %d", MaxLaneWords, w)
 	}
 	if int64(len(n.Gates))*int64(w) > math.MaxInt32 {
 		// runGate addresses lane words with int32 offsets (batch.go).
-		return nil, fmt.Errorf("gate: netlist too large for %d lane words (%d gates)", w, len(n.Gates))
+		return nil, nil, fmt.Errorf("gate: netlist too large for %d lane words (%d gates)", w, len(n.Gates))
 	}
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := n.levelize()
+	c, wp, err := n.compile(w)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s := &Sim{
 		n:       n,
-		order:   order,
+		order:   c.order,
 		w:       w,
 		val:     make([]uint64, len(n.Gates)*w),
 		state:   make([]uint64, len(n.Gates)*w),
@@ -170,19 +182,18 @@ func NewSimWidth(n *Netlist, w int) (*Sim, error) {
 	for i := range s.hookIdx {
 		s.hookIdx[i] = -1
 	}
-	if w >= 8 {
-		// Compile the kernel plan: resolve the dispatch tables for the
-		// captured (tier, width) and precompute every gate's operand
-		// offsets, so evaluation is a flat walk over resolved kernel
-		// calls.
+	if wp != nil {
+		// Resolve the dispatch tables for the captured (tier, width) and
+		// take the shared operand offsets and level runs, so evaluation
+		// is a flat walk over resolved kernel calls.
 		wi := widthIdx(w)
 		s.goKern = goBatchKernels[wi]
 		s.kern = archBatchKernels(s.tier, wi)
 		s.comp = archCompKernels(s.tier, wi)
-		s.rg = compileRunGates(n, w)
-		s.obl = s.buildOblivPlan()
+		s.rg, s.obl = wp.rg, wp.obl
+		s.oblFlags = make([]uint8, wp.obl.maxRun)
 	}
-	return s, nil
+	return s, c, nil
 }
 
 // compileRunGates precomputes each signal's runGate record: lane-word

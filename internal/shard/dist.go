@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -134,6 +135,19 @@ func FlagHosts(hosts string, shards int) ([]HostSpec, error) {
 		return LocalHosts(shards)
 	}
 	return nil, nil
+}
+
+// FlagWorkers is the per-host fault.Simulate worker count of the -workers
+// and -shards CLI flags: an explicit -workers wins, and otherwise the N
+// local sessions of -shards N split this machine's GOMAXPROCS between
+// them, so together they never fan out past the cores they share. Without
+// -shards, 0 stands (each host or the in-process grade uses its own
+// GOMAXPROCS).
+func FlagWorkers(workers, shards int) int {
+	if workers > 0 || shards <= 1 {
+		return workers
+	}
+	return max(1, runtime.GOMAXPROCS(0)/shards)
 }
 
 // DistOptions tunes a distributed grading run.

@@ -374,6 +374,21 @@ func TestFlagHosts(t *testing.T) {
 	}
 }
 
+func TestFlagWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ workers, shards, want int }{
+		{0, 1, 0},
+		{3, 1, 3},
+		{3, 4, 3},
+		{0, 2, max(1, procs/2)},
+		{0, 4 * procs, 1},
+	} {
+		if got := FlagWorkers(tc.workers, tc.shards); got != tc.want {
+			t.Errorf("FlagWorkers(%d, %d) = %d, want %d (GOMAXPROCS %d)", tc.workers, tc.shards, got, tc.want, procs)
+		}
+	}
+}
+
 // fakeSession speaks the session protocol on conn as a host whose cache
 // already holds every artifact, handing each grade request to onGrade,
 // which may answer, write garbage, close conn, or do nothing (a hang).

@@ -1,10 +1,10 @@
 #!/bin/sh
-# check.sh — the repo's tier-1 verification gate, a compile-and-test pass
-# of the nested benchmark module (which imports internal/fault and would
-# otherwise go unbuilt), and a short race pass of the concurrency-bearing
-# packages. Run from the repository root:
+# check.sh — the repo's tier-1 verification gate (gofmt, build, vet,
+# tests), a compile-and-test pass of the nested benchmark module (which
+# imports internal/fault and would otherwise go unbuilt), and a short race
+# pass of the concurrency-bearing packages. Run from the repository root:
 #
-#   ./scripts/check.sh          # build, vet, full tests, race pass
+#   ./scripts/check.sh          # gofmt, build, vet, full tests, race pass
 #   ./scripts/check.sh -short   # same, with -short tests
 set -eu
 
@@ -24,6 +24,14 @@ git diff --exit-code -- \
     echo "check: generated kernel files are stale; rerun 'make generate' and commit the output" >&2
     exit 1
 }
+
+echo "== gofmt -l (every Go file must be gofmt-clean)"
+unformatted=$(gofmt -l ./*.go cmd examples internal benchmark)
+if [ -n "$unformatted" ]; then
+    echo "check: gofmt -l lists files that need formatting; run 'gofmt -w' on:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== go build ./..."
 go build ./...
