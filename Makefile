@@ -5,8 +5,8 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# Regenerate the gate-evaluation kernel matrix (Go + AVX2/AVX-512 +
-# NEON asm) from internal/gate/gen. check.sh fails when the committed
+# Regenerate the gate-evaluation kernels (the generic Go kernels and the
+# AVX2 asm) from internal/gate/gen. check.sh fails when the committed
 # output is stale.
 generate:
 	$(GO) generate ./internal/gate

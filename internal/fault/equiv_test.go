@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -204,57 +205,89 @@ func captureGoldenKSweep(t *testing.T, cpu *plasma.CPU, prog *asm.Program, cycle
 	return gs
 }
 
+// checkSameTraces asserts every golden records the same fault-free bus
+// and read-data trace: the sweep's goldens differ only in checkpoint
+// spacing, which must not touch what the program does.
+func checkSameTraces(t *testing.T, goldens []namedGolden) {
+	t.Helper()
+	ref := goldens[0]
+	for _, ng := range goldens[1:] {
+		if ng.g.Cycles != ref.g.Cycles {
+			t.Fatalf("%s: %d cycles, %s has %d", ng.name, ng.g.Cycles, ref.name, ref.g.Cycles)
+		}
+		for c := 0; c < ref.g.Cycles; c++ {
+			if ng.g.RDataAt(c) != ref.g.RDataAt(c) || ng.g.OutAt(c) != ref.g.OutAt(c) {
+				t.Fatalf("%s: cycle %d bus/read data %+v/%#x, %s has %+v/%#x", ng.name, c,
+					ng.g.OutAt(c), ng.g.RDataAt(c), ref.name, ref.g.OutAt(c), ref.g.RDataAt(c))
+			}
+		}
+	}
+}
+
 // checkWidthEquivalence simulates the same workload at every supported
-// lane width under both engines, for every supplied golden trace, and
-// asserts that DetectedAt and SignatureGroups are bit-identical across
-// every configuration. This is the end-to-end soundness property of lane
-// widening and sparse checkpointing: each bit lane is an independent
-// machine and each golden encodes the same fault-free execution, so
-// neither the pass width, the packing order nor the checkpoint interval
-// may influence any per-fault outcome.
+// lane width under both engines and asserts that DetectedAt and
+// SignatureGroups are bit-identical across every configuration. This is
+// the end-to-end soundness property of lane widening and sparse
+// checkpointing: each bit lane is an independent machine and each golden
+// encodes the same fault-free execution, so neither the pass width, the
+// packing order nor the checkpoint interval may influence any per-fault
+// outcome.
+//
+// The oblivious engine starts every pass cold at cycle 0 and reads only
+// the golden's bus and read-data trace, which checkSameTraces proves
+// identical across the goldens, so its widths run once, on the first
+// golden; the first of those runs is the reference. The event engine
+// starts passes from each golden's checkpoints, so it runs every
+// (golden, width) configuration against that reference.
 func checkWidthEquivalence(t *testing.T, cpu *plasma.CPU, goldens []namedGolden, faults []Fault, opt Options) {
 	t.Helper()
+	checkSameTraces(t, goldens)
 	var ref *Result
 	var refName string
-	for _, ng := range goldens {
-		for _, eng := range []Engine{EngineOblivious, EngineEvent} {
-			for _, w := range []int{1, 2, 4, 8, 16, 32, 64} {
-				g := ng.g
-				opt.Engine = eng
-				opt.LaneWords = w
-				name := fmt.Sprintf("%s engine=%v lanes=%d", ng.name, eng, w)
-				res, err := Simulate(cpu, g, faults, opt)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				var histSum int64
-				for i, c := range res.Stats.PassWidthHist {
-					histSum += c
-					if c > 0 && 1<<uint(i) > w {
-						t.Errorf("%s: pass ran wider (%d words) than the cap", name, 1<<uint(i))
-					}
-				}
-				if histSum != res.Stats.Passes {
-					t.Errorf("%s: width histogram sums to %d, want %d passes", name, histSum, res.Stats.Passes)
-				}
-				if ref == nil {
-					ref, refName = res, name
-					continue
-				}
-				if len(res.DetectedAt) != len(ref.DetectedAt) {
-					t.Fatalf("%s: %d results, %s has %d", name, len(res.DetectedAt), refName, len(ref.DetectedAt))
-				}
-				for i := range ref.DetectedAt {
-					if res.DetectedAt[i] != ref.DetectedAt[i] {
-						t.Fatalf("%s: fault %d (%v) DetectedAt=%d, %s says %d",
-							name, i, res.Faults[i].Site, res.DetectedAt[i], refName, ref.DetectedAt[i])
-					}
-					if res.SignatureGroups[i] != ref.SignatureGroups[i] {
-						t.Fatalf("%s: fault %d (%v) groups=%#x, %s says %#x",
-							name, i, res.Faults[i].Site, res.SignatureGroups[i], refName, ref.SignatureGroups[i])
-					}
-				}
+	check := func(ng namedGolden, eng Engine, w int) {
+		t.Helper()
+		opt.Engine = eng
+		opt.LaneWords = w
+		name := fmt.Sprintf("%s engine=%v lanes=%d", ng.name, eng, w)
+		res, err := Simulate(cpu, ng.g, faults, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var histSum int64
+		for i, c := range res.Stats.PassWidthHist {
+			histSum += c
+			if c > 0 && 1<<uint(i) > w {
+				t.Errorf("%s: pass ran wider (%d words) than the cap", name, 1<<uint(i))
 			}
+		}
+		if histSum != res.Stats.Passes {
+			t.Errorf("%s: width histogram sums to %d, want %d passes", name, histSum, res.Stats.Passes)
+		}
+		if ref == nil {
+			ref, refName = res, name
+			return
+		}
+		if len(res.DetectedAt) != len(ref.DetectedAt) {
+			t.Fatalf("%s: %d results, %s has %d", name, len(res.DetectedAt), refName, len(ref.DetectedAt))
+		}
+		for i := range ref.DetectedAt {
+			if res.DetectedAt[i] != ref.DetectedAt[i] {
+				t.Fatalf("%s: fault %d (%v) DetectedAt=%d, %s says %d",
+					name, i, res.Faults[i].Site, res.DetectedAt[i], refName, ref.DetectedAt[i])
+			}
+			if res.SignatureGroups[i] != ref.SignatureGroups[i] {
+				t.Fatalf("%s: fault %d (%v) groups=%#x, %s says %#x",
+					name, i, res.Faults[i].Site, res.SignatureGroups[i], refName, ref.SignatureGroups[i])
+			}
+		}
+	}
+	widths := []int{1, 2, 4, 8, 16, 32, 64}
+	for _, w := range widths {
+		check(goldens[0], EngineOblivious, w)
+	}
+	for _, ng := range goldens {
+		for _, w := range widths {
+			check(ng, EngineEvent, w)
 		}
 	}
 }
@@ -275,17 +308,17 @@ func TestWidthEquivalencePhaseA(t *testing.T) {
 	checkWidthEquivalence(t, cpu, goldens, Universe(cpu.Netlist), Options{Sample: 512, Seed: 9, Workers: 1})
 }
 
-// TestTierEquivalencePhaseA asserts the kernel fallback chain end to
-// end: a full Phase A grade forced through every SIMD tier this host can
-// run (on an AVX-512 box that exercises avx512, avx2, and generic in
-// turn) must produce bit-identical DetectedAt and SignatureGroups. This
-// is the whole-pipeline half of the dispatch-chain guarantee; the
-// per-kernel half lives in gate's equivalence/fuzz suites.
+// TestTierEquivalencePhaseA asserts the kernel fallback end to end: a
+// full Phase A grade on the AVX2 kernels and on the generic Go kernels
+// (SIMD on and off) must produce bit-identical DetectedAt and
+// SignatureGroups. This is the whole-pipeline half of the dispatch
+// guarantee; the per-kernel half lives in gate's equivalence/fuzz suites.
 func TestTierEquivalencePhaseA(t *testing.T) {
 	if testing.Short() {
-		t.Skip("forced-tier Phase-A sweep is long; skipped with -short")
+		t.Skip("SIMD on/off Phase-A grade is long; skipped with -short")
 	}
-	defer gate.SetSIMDTier("auto")
+	prev := gate.SetSIMD(true)
+	defer gate.SetSIMD(prev)
 	cpu := getCPU(t)
 	comps := core.ClassifyNetlist(cpu.Netlist)
 	st, err := core.GenerateSelfTest(comps, core.PhaseA)
@@ -300,16 +333,15 @@ func TestTierEquivalencePhaseA(t *testing.T) {
 	opt := Options{Sample: 512, Seed: 9, Workers: 1}
 	var ref *Result
 	var refTier string
-	for _, tier := range gate.SIMDTiers() {
-		if _, err := gate.SetSIMDTier(tier); err != nil {
-			t.Fatal(err)
-		}
+	for _, simd := range []bool{true, false} {
+		gate.SetSIMD(simd)
+		tier := gate.SIMDKernelName()
 		res, err := Simulate(cpu, golden, faults, opt)
 		if err != nil {
 			t.Fatalf("tier %s: %v", tier, err)
 		}
-		if res.Stats.SIMDKernelRuns == 0 && tier != "generic" && tier != "purego" {
-			t.Errorf("tier %s: no SIMD kernel runs recorded", tier)
+		if gate.SIMDEnabled() != (res.Stats.SIMDKernelRuns > 0) {
+			t.Errorf("tier %s: %d SIMD kernel runs recorded", tier, res.Stats.SIMDKernelRuns)
 		}
 		if ref == nil {
 			ref, refTier = res, tier
@@ -321,6 +353,46 @@ func TestTierEquivalencePhaseA(t *testing.T) {
 					tier, i, res.Faults[i].Site, res.DetectedAt[i], res.SignatureGroups[i],
 					refTier, ref.DetectedAt[i], ref.SignatureGroups[i])
 			}
+		}
+	}
+}
+
+// TestPlanPassesHostIndependent asserts the pass plan does not depend on
+// the kernels the host runs: planning the full Phase A and Phase A+B
+// universes of the base core with the AVX2 kernels enabled and disabled
+// must yield the same passes — fault sets, widths, starts and costs. Shard
+// weights and dispatch derive from the plan, so they match across hosts
+// too.
+func TestPlanPassesHostIndependent(t *testing.T) {
+	prev := gate.SetSIMD(true)
+	defer gate.SetSIMD(prev)
+	cpu := getCPU(t)
+	comps := core.ClassifyNetlist(cpu.Netlist)
+	faults := Universe(cpu.Netlist)
+	for _, phase := range []core.PhaseID{core.PhaseA, core.PhaseB} {
+		st, err := core.GenerateSelfTest(comps, phase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden, err := plasma.CaptureGolden(cpu, st.Program, st.GateCycles())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var plans [2][]PassGroup
+		for i, simd := range []bool{true, false} {
+			gate.SetSIMD(simd)
+			plan, _, err := PlanPasses(cpu.Netlist, golden, faults, EngineEvent, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans[i] = plan
+		}
+		if len(plans[0]) == 0 {
+			t.Fatalf("phase %s: empty plan", phase)
+		}
+		if !reflect.DeepEqual(plans[0], plans[1]) {
+			t.Fatalf("phase %s: plan with SIMD on (%d passes) differs from SIMD off (%d passes)",
+				phase, len(plans[0]), len(plans[1]))
 		}
 	}
 }

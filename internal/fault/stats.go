@@ -104,8 +104,8 @@ type SimStats struct {
 	ScalarKernelEvals   int64
 	// SIMDRunsByWidth / GenericRunsByWidth split the kernel-run counters
 	// by the lane width of the dispatching pass, same slot mapping as
-	// PassWidthHist: together with the tier name (gate.SIMDKernelName)
-	// they show which kernel of the matrix did the work.
+	// PassWidthHist: together with the kernel name (gate.SIMDKernelName)
+	// they show which kernels did the work at each width.
 	SIMDRunsByWidth    [widthSlots]int64
 	GenericRunsByWidth [widthSlots]int64
 	// TraceDenseBytes is the size the golden read-data and primary-output

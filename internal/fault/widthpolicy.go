@@ -55,51 +55,29 @@ const (
 	costWordCone = 0.27
 )
 
-// wordScale adjusts the per-word cost for the lane width's evaluation
-// path of the active kernel tier. With assembly batch kernels (w >= 8
-// only — the narrower widths have no kernels) the per-word cost drops
-// below the scalar baseline until cache pressure claws the kernel win
-// back at the widest rows: at w=64 the working set is 512 B per signal
-// and the sweep goes memory-bound, so the 32 → 64 step is roughly flat
-// end to end on every tier. Fit per tier from the PR-10
-// BenchmarkPassRunnerWidth sweep (Sample=2048, Workers=1, each tier
-// forced via SBST_SIMD_TIER, each tier's own w=1 run as its scalar
-// baseline — the box is a shared 1-core VM with ±10% noise, so the
-// constants are rounded to the band structure the sweep supports, not
-// per-width point estimates; BENCH_faultsim.json records the raw rows):
-// avx512 measured 4.39/2.67/1.89/1.02/0.76/0.70/0.72 s at w=1..64
-// (solved scales 0.72/0.68/0.75/0.84 at w=8/16/32/64), avx2
-// 3.90/2.75/1.84/1.03/0.71/0.65/0.66 s (0.90/0.73/0.78/0.86). The
-// generic Go kernels fit ~1.0 flat out to w=32 with the same mild w=64
-// cache penalty — the compiled-plan sweep removed the per-gate dispatch
-// overhead that the old 1.25 w>=16 penalty was absorbing. NEON has no
-// measured sweep yet (no arm64 perf box); it reuses the avx2 shape as
-// the closest 128-bit analogue, recorded honestly here.
+// wordScale adjusts the per-word cost for the lane width. With the AVX2
+// batch kernels (w >= 8 only — the narrower widths have no kernels) the
+// per-word cost drops below the scalar baseline until cache pressure
+// claws the kernel win back at the widest rows: at w=64 the working set
+// is 512 B per signal and the sweep goes memory-bound, so the 32 → 64
+// step is roughly flat end to end. The table is the same on every host,
+// whatever kernels it runs, so a program gets the same plan — the same
+// passes, widths, shard weights and dispatch — everywhere.
+//
+// The row is the one first fit for 512-bit kernels (BENCH_faultsim.json
+// holds the sweep), kept because it is what holds full-universe memory
+// down: on the reference box (2 vCPU) the AVX2-fit row (0.80/0.78/0.86)
+// changed the full Table 5 plan and raised its peak RSS from ~45 MB to
+// 56-59 MB, while this row with AVX2 kernels stays at 42-52 MB with
+// throughput inside run-to-run noise (EXPERIMENTS.md, "Kernel matrix").
 func wordScale(w int) float64 {
-	switch gate.SIMDKernelName() {
-	case "avx512":
-		switch {
-		case w >= 64:
-			return 0.84
-		case w >= 32:
-			return 0.75
-		case w >= 8:
-			return 0.70
-		}
-		return 1.0
-	case "avx2", "neon":
-		switch {
-		case w >= 64:
-			return 0.86
-		case w >= 32:
-			return 0.78
-		case w >= 8:
-			return 0.80
-		}
-		return 1.0
-	}
-	if w >= 64 {
-		return 1.05
+	switch {
+	case w >= 64:
+		return 0.84
+	case w >= 32:
+		return 0.75
+	case w >= 8:
+		return 0.70
 	}
 	return 1.0
 }

@@ -6,9 +6,9 @@ import "sync/atomic"
 
 // Batched run evaluation. The event sweeps and the oblivious evaluator
 // group same-level same-kind gates into contiguous runs and dispatch each
-// run with a single kernel call — the assembly kernel of the active SIMD
-// tier (AVX-512 or AVX2 on amd64, NEON on arm64; see tier.go), else the
-// generated Go run kernel (kernels_generated.go). Gates at the same
+// run with a single kernel call — the AVX2 assembly kernel on amd64 hosts
+// that have it (simd_amd64.go), else the generated Go run kernel
+// (kernels_generated.go). Gates at the same
 // combinational level are mutually independent (levels strictly increase
 // along fanout), so deferring their evaluation to the end of the level
 // cannot change any signal value, eval count, or event count; all kernel
@@ -58,7 +58,7 @@ type batchList struct {
 
 // KernelStats counts batch-kernel dispatch activity of one simulator.
 type KernelStats struct {
-	SIMDRuns     uint64 // runs dispatched to the tier's asm kernels
+	SIMDRuns     uint64 // runs dispatched to the AVX2 kernels
 	GenericRuns  uint64 // runs dispatched to the Go run kernels
 	BatchedGates uint64 // gates evaluated through batch runs
 	UniformHits  uint64 // sweep scalar uniform fast-path evaluations
@@ -78,20 +78,18 @@ func (s *KernelStats) Add(other KernelStats) {
 func (s *Sim) KernelStats() KernelStats { return s.kstats }
 
 // simdDisabled lets tests and benchmarks force the Go run kernels on
-// hosts that have an asm tier. It gates construction-time capture only
-// (Sim.tier), so toggling never races with running simulators.
+// hosts that have the AVX2 kernels. It gates construction-time capture
+// only (Sim.kern/comp), so toggling never races with running simulators.
 var simdDisabled atomic.Bool
 
 // SIMDAvailable reports whether this build and host have assembly batch
-// kernels (AVX-512 or AVX2 on amd64, NEON on arm64; never under the
-// purego tag).
-func SIMDAvailable() bool { return detectedTier != tierGeneric }
+// kernels (AVX2 on amd64; never under the purego tag).
+func SIMDAvailable() bool { return hasSIMD }
 
 // SetSIMD enables or disables the assembly kernels for simulators
 // constructed afterwards and returns the previous setting. A disabled or
 // unavailable SIMD path falls back to the generated Go run kernels,
-// which are bit-identical. Tier selection within the assembly backends
-// is SetSIMDTier's job (tier.go).
+// which are bit-identical.
 func SetSIMD(on bool) bool {
 	prev := !simdDisabled.Load()
 	simdDisabled.Store(!on)
@@ -100,13 +98,20 @@ func SetSIMD(on bool) bool {
 
 // SIMDEnabled reports whether newly constructed simulators will dispatch
 // to assembly kernels.
-func SIMDEnabled() bool { return activeTier() != tierGeneric }
+func SIMDEnabled() bool { return hasSIMD && !simdDisabled.Load() }
 
 // SIMDKernelName names the kernel backend newly constructed simulators
-// use: "avx512", "avx2", or "neon" for the assembly tiers, "generic"
-// when no assembly is available / SIMD is disabled / the generic tier is
-// forced, and "purego" for a build under the purego tag.
-func SIMDKernelName() string { return activeTier().String() }
+// use: "avx2" for the assembly kernels, "generic" when none are available
+// or SIMD is disabled, and "purego" for a build under the purego tag.
+func SIMDKernelName() string {
+	switch {
+	case SIMDEnabled():
+		return "avx2"
+	case builtPurego:
+		return "purego"
+	}
+	return "generic"
+}
 
 // widthIdx maps a SIMD-kerneled lane width to its dispatch-table row.
 func widthIdx(w int) int {
@@ -155,8 +160,8 @@ func (s *Sim) flushBatches() {
 
 // dispatchBatch evaluates one contiguous same-kind run through the
 // kernels resolved at construction (the compiled kernel plan): the
-// tier's assembly kernel when the sim has one for this kind, else the
-// width-bound Go run kernel. No per-run width or tier branching
+// AVX2 kernel when the sim has one for this kind, else the
+// width-bound Go run kernel. No per-run width or backend branching
 // survives to here — only a table load and an indirect call. All
 // kernels write outputs into val and per-gate flag bytes,
 // bit-identically.

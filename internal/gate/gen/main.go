@@ -4,11 +4,10 @@
 //
 //   - kernels_generated.go: the computeInto8/16/32/64 array kernels, the
 //     batched event sweeps sweep8/16/32/64, and the batchEvalGo8/16/32/64
-//     run kernels (the portable reference every asm backend must match
-//     bit-for-bit);
+//     run kernels (the portable reference the AVX2 kernels must match
+//     bit-for-bit, and the kernels every other host runs);
 //   - kernels_amd64.go / kernels_amd64.s: declarations, dispatch tables,
-//     and the assembly for the AVX2 and AVX-512 backends;
-//   - kernels_arm64.go / kernels_arm64.s: the same for the NEON backend.
+//     and the assembly for the AVX2 backend, the one assembly tier.
 //
 // Run via go generate ./internal/gate (the directive sits in batch.go).
 // scripts/check.sh regenerates and fails on any diff, so the committed
@@ -75,86 +74,12 @@ func expr(name, idx string) string {
 	panic("gen: unknown kind " + name)
 }
 
-// boolEval is the single-bit truth function of a kind, the definition the
-// VPTERNLOG immediates are derived from (and asserted consistent with
-// expr by the kernel equivalence tests).
-func boolEval(name string, a, b, c bool) bool {
-	switch name {
-	case "Buf":
-		return a
-	case "Not":
-		return !a
-	case "And2":
-		return a && b
-	case "Or2":
-		return a || b
-	case "Nand2":
-		return !(a && b)
-	case "Nor2":
-		return !(a || b)
-	case "Xor2":
-		return a != b
-	case "Xnor2":
-		return a == b
-	case "Mux2":
-		if c {
-			return b
-		}
-		return a
-	}
-	panic("gen: unknown kind " + name)
-}
-
-// ternImm builds the 8-bit VPTERNLOG truth-table immediate (bit index
-// A<<2|B<<1|C, A = the destination register) under the AVX-512 operand
-// mapping: one-input kinds compute over A alone, two-input kinds read
-// their second operand from memory as C (B is a don't-care duplicate of
-// A), and Mux2 maps a/b/c straight onto A/B/C.
-func ternImm(k kind) uint8 {
-	var imm uint8
-	for i := 0; i < 8; i++ {
-		A, B, C := i&4 != 0, i&2 != 0, i&1 != 0
-		var r bool
-		switch k.Arity {
-		case 1:
-			r = boolEval(k.Name, A, false, false)
-		case 2:
-			r = boolEval(k.Name, A, C, false)
-		case 3:
-			r = boolEval(k.Name, A, B, C)
-		}
-		if r {
-			imm |= 1 << uint(i)
-		}
-	}
-	return imm
-}
-
-// backend names one assembly kernel family: the symbol prefixes and the
-// dispatch tables the per-arch detection code resolves at Sim
-// construction.
-type backend struct {
-	Tag        string // human name used in comments
-	Prefix     string // batch kernel symbol prefix
-	CompPrefix string // raw-compute kernel symbol prefix
-	BatchTable string
-	CompTable  string
-}
-
-var (
-	avx2Backend   = backend{"AVX2", "k", "kComp", "avx2Kernels", "avx2Comp"}
-	avx512Backend = backend{"AVX-512", "k512", "kComp512", "avx512Kernels", "avx512Comp"}
-	neonBackend   = backend{"NEON", "kNeon", "kCompNeon", "neonKernels", "neonComp"}
-)
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gen: ")
 	writeGo("kernels_generated.go", genGo())
-	writeGo("kernels_amd64.go", genDecls([]backend{avx2Backend, avx512Backend}, "kernels_amd64.s"))
+	writeGo("kernels_amd64.go", genDecls())
 	writeRaw("kernels_amd64.s", genAmd64Asm())
-	writeGo("kernels_arm64.go", genDecls([]backend{neonBackend}, "kernels_arm64.s"))
-	writeRaw("kernels_arm64.s", genArm64Asm())
 }
 
 func writeGo(name string, src []byte) {
@@ -392,62 +317,55 @@ func (s *Sim) sweep%[1]d() {
 }
 
 // ---------------------------------------------------------------------------
-// kernel declarations (kernels_amd64.go / kernels_arm64.go)
+// kernels_amd64.go
 
-func genDecls(backends []backend, asmFile string) []byte {
+func genDecls() []byte {
 	var b bytes.Buffer
 	b.WriteString(header)
 	fmt.Fprintf(&b, "//go:build !purego\n\npackage gate\n")
-	for _, be := range backends {
-		fmt.Fprintf(&b, `
-// %s batch kernels (%s). Each evaluates one contiguous
+	b.WriteString(`
+// AVX2 batch kernels (kernels_amd64.s). Each evaluates one contiguous
 // run of same-kind gates at a fixed lane width, writing outputs into val
 // and one change/uniformity flag byte per gate; bit-exact with the
 // batchEvalGo* reference (asserted by TestBatchKernelEquivalence and
 // FuzzBatchKernels).
-`, be.Tag, asmFile)
-		for _, w := range widths {
-			for _, k := range kinds {
-				fmt.Fprintf(&b, "\n//go:noescape\nfunc %s%sW%d(val *uint64, gates *runGate, flags *uint8, n int)\n", be.Prefix, k.Name, w)
-			}
+`)
+	for _, w := range widths {
+		for _, k := range kinds {
+			fmt.Fprintf(&b, "\n//go:noescape\nfunc k%sW%d(val *uint64, gates *runGate, flags *uint8, n int)\n", k.Name, w)
 		}
-		fmt.Fprintf(&b, "\n// %s maps widthIdx(w) and gate kind to the %s run kernel.\nvar %s = [%d][numKinds]batchKernel{\n", be.BatchTable, be.Tag, be.BatchTable, len(widths))
-		for i, w := range widths {
-			fmt.Fprintf(&b, "\t%d: {", i)
-			for j, k := range kinds {
-				if j > 0 {
-					fmt.Fprintf(&b, ", ")
-				}
-				fmt.Fprintf(&b, "%s: %s%sW%d", k.Name, be.Prefix, k.Name, w)
-			}
-			fmt.Fprintf(&b, "},\n")
-		}
-		fmt.Fprintf(&b, "}\n")
-		fmt.Fprintf(&b, `
-// %s raw-compute kernels (%s). Each writes one gate's
+	}
+	genTable(&b, "avx2Kernels", "batchKernel", "k", "the AVX2 run kernel")
+	b.WriteString(`
+// AVX2 raw-compute kernels (kernels_amd64.s). Each writes one gate's
 // unhooked output into dst with no change/uniformity fold — the hooked
 // recompute path, where patchHooks repairs the injected words and the
 // change fold runs against the previous patched value in Go.
-`, be.Tag, asmFile)
-		for _, w := range widths {
-			for _, k := range kinds {
-				fmt.Fprintf(&b, "\n//go:noescape\nfunc %s%sW%d(dst, a, b, c *uint64)\n", be.CompPrefix, k.Name, w)
-			}
+`)
+	for _, w := range widths {
+		for _, k := range kinds {
+			fmt.Fprintf(&b, "\n//go:noescape\nfunc kComp%sW%d(dst, a, b, c *uint64)\n", k.Name, w)
 		}
-		fmt.Fprintf(&b, "\n// %s maps widthIdx(w) and gate kind to the raw-compute kernel.\nvar %s = [%d][numKinds]compKernel{\n", be.CompTable, be.CompTable, len(widths))
-		for i, w := range widths {
-			fmt.Fprintf(&b, "\t%d: {", i)
-			for j, k := range kinds {
-				if j > 0 {
-					fmt.Fprintf(&b, ", ")
-				}
-				fmt.Fprintf(&b, "%s: %s%sW%d", k.Name, be.CompPrefix, k.Name, w)
-			}
-			fmt.Fprintf(&b, "},\n")
-		}
-		fmt.Fprintf(&b, "}\n")
 	}
+	genTable(&b, "avx2Comp", "compKernel", "kComp", "the raw-compute kernel")
 	return b.Bytes()
+}
+
+// genTable emits a dispatch table mapping widthIdx(w) and gate kind to
+// the kernel symbol prefix+Kind+W+width.
+func genTable(b *bytes.Buffer, table, typ, prefix, what string) {
+	fmt.Fprintf(b, "\n// %s maps widthIdx(w) and gate kind to %s.\nvar %s = [%d][numKinds]%s{\n", table, what, table, len(widths), typ)
+	for i, w := range widths {
+		fmt.Fprintf(b, "\t%d: {", i)
+		for j, k := range kinds {
+			if j > 0 {
+				fmt.Fprintf(b, ", ")
+			}
+			fmt.Fprintf(b, "%s: %s%sW%d", k.Name, prefix, k.Name, w)
+		}
+		fmt.Fprintf(b, "},\n")
+	}
+	fmt.Fprintf(b, "}\n")
 }
 
 // ---------------------------------------------------------------------------
@@ -461,14 +379,6 @@ func genDecls(backends []backend, asmFile string) []byte {
 //	Y0  gate output chunk Y2..Y5 temps
 //	Y12 diff accumulator  Y13 not-uniform accumulator
 //	Y14 broadcast of output word 0                Y15 all-ones
-//
-// AVX-512 kernels reuse the same integer plan over Z registers: Z0 output
-// chunk (Z1 the Mux2 b operand), Z12/Z13 accumulators, Z14 broadcast.
-// Every gate function is one VPTERNLOGQ with a truth-table immediate (see
-// ternImm), both accumulator folds are one VPTERNLOGQ each (acc |= x^y is
-// itself a 3-input boolean, 0xf6), so no temps or all-ones register are
-// needed, and the accumulator tests go through VPTESTMQ + KORTESTW (both
-// AVX512F).
 func genAmd64Asm() []byte {
 	var b bytes.Buffer
 	b.WriteString(header)
@@ -483,21 +393,11 @@ func genAmd64Asm() []byte {
 			genAsmCompKernel(&b, k, w)
 		}
 	}
-	for _, w := range widths {
-		for _, k := range kinds {
-			genAsmKernel512(&b, k, w)
-		}
-	}
-	for _, w := range widths {
-		for _, k := range kinds {
-			genAsmCompKernel512(&b, k, w)
-		}
-	}
 	return b.Bytes()
 }
 
-// needsOnes reports whether the kind's AVX2/NEON chunk computation
-// complements via the all-ones register (Y15 / V15).
+// needsOnes reports whether the kind's chunk computation complements via
+// the all-ones register Y15.
 func needsOnes(name string) bool {
 	switch name {
 	case "Not", "Nand2", "Nor2", "Xnor2":
@@ -622,252 +522,4 @@ TEXT ·%s(SB), NOSPLIT, $0-32
 		fmt.Fprintf(b, "\tVMOVDQU Y0, %d(DI)\n", off)
 	}
 	fmt.Fprintf(b, "\tVZEROUPPER\n\tRET\n")
-}
-
-// emitChunk512 emits the Z0 computation of one 8-word output chunk at
-// byte offset off. Every non-trivial gate function is a single
-// VPTERNLOGQ: the immediate encodes the full 3-input truth table, so the
-// complementing kinds cost no extra instruction and Mux2 collapses from
-// four AVX2 ops to one.
-func emitChunk512(b *bytes.Buffer, k kind, off int) {
-	imm := ternImm(k)
-	switch {
-	case k.Name == "Buf":
-		fmt.Fprintf(b, "\tVMOVDQU64 %d(AX), Z0\n", off)
-	case k.Arity == 1:
-		fmt.Fprintf(b, "\tVMOVDQU64 %d(AX), Z0\n\tVPTERNLOGQ $0x%02x, Z0, Z0, Z0\n", off, imm)
-	case k.Arity == 2:
-		// A = a (register), C = b (memory), B unused (duplicate of A).
-		fmt.Fprintf(b, "\tVMOVDQU64 %d(AX), Z0\n\tVPTERNLOGQ $0x%02x, %d(BX), Z0, Z0\n", off, imm, off)
-	default:
-		// Mux2: A = a, B = b, C = c.
-		fmt.Fprintf(b, "\tVMOVDQU64 %d(AX), Z0\n\tVMOVDQU64 %d(BX), Z1\n\tVPTERNLOGQ $0x%02x, %d(CX), Z1, Z0\n", off, off, imm, off)
-	}
-}
-
-func genAsmKernel512(b *bytes.Buffer, k kind, w int) {
-	name := fmt.Sprintf("k512%sW%d", k.Name, w)
-	fmt.Fprintf(b, `
-// func %s(val *uint64, gates *runGate, flags *uint8, n int)
-// AVX-512 %s over a run of %d-lane-word gates: out written to
-// val[g.dst:], flags[i] = changed|uniform<<1 (see batchFlags).
-TEXT ·%s(SB), NOSPLIT, $0-32
-	MOVQ val+0(FP), DI
-	MOVQ gates+8(FP), SI
-	MOVQ flags+16(FP), R8
-	MOVQ n+24(FP), R9
-	TESTQ R9, R9
-	JZ done
-gate:
-	MOVL 0(SI), DX
-	LEAQ (DI)(DX*8), DX
-	MOVL 4(SI), AX
-	LEAQ (DI)(AX*8), AX
-`, name, k.Name, w, name)
-	if k.Arity >= 2 {
-		fmt.Fprintf(b, "\tMOVL 8(SI), BX\n\tLEAQ (DI)(BX*8), BX\n")
-	}
-	if k.Arity >= 3 {
-		fmt.Fprintf(b, "\tMOVL 12(SI), CX\n\tLEAQ (DI)(CX*8), CX\n")
-	}
-	fmt.Fprintf(b, "\tVPXORQ Z12, Z12, Z12\n\tVPXORQ Z13, Z13, Z13\n")
-	for c := 0; c < w/8; c++ {
-		off := c * 64
-		emitChunk512(b, k, off)
-		// Both accumulator folds are acc |= x ^ y, itself a 3-input
-		// boolean (A | (B ^ C), truth table 0xf6), so each is one more
-		// VPTERNLOGQ: the change fold reads the old output from memory
-		// before the store overwrites it, the uniformity fold compares
-		// against the first-word broadcast.
-		fmt.Fprintf(b, "\tVPTERNLOGQ $0xf6, %d(DX), Z0, Z12\n\tVMOVDQU64 Z0, %d(DX)\n", off, off)
-		if c == 0 {
-			fmt.Fprintf(b, "\tVPBROADCASTQ X0, Z14\n")
-		}
-		fmt.Fprintf(b, "\tVPTERNLOGQ $0xf6, Z14, Z0, Z13\n")
-	}
-	fmt.Fprintf(b, `	XORL R10, R10
-	XORL R11, R11
-	VPTESTMQ Z12, Z12, K1
-	KORTESTW K1, K1
-	SETNE R10
-	VPTESTMQ Z13, Z13, K2
-	KORTESTW K2, K2
-	SETEQ R11
-	ADDL R11, R11
-	ORL R11, R10
-	MOVB R10, (R8)
-	INCQ R8
-	ADDQ $16, SI
-	DECQ R9
-	JNZ gate
-done:
-	VZEROUPPER
-	RET
-`)
-}
-
-func genAsmCompKernel512(b *bytes.Buffer, k kind, w int) {
-	name := fmt.Sprintf("kComp512%sW%d", k.Name, w)
-	fmt.Fprintf(b, `
-// func %s(dst, a, b, c *uint64)
-// Raw AVX-512 %s output at %d lane words into dst (no flags, no
-// change fold).
-TEXT ·%s(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), AX
-`, name, k.Name, w, name)
-	if k.Arity >= 2 {
-		fmt.Fprintf(b, "\tMOVQ b+16(FP), BX\n")
-	}
-	if k.Arity >= 3 {
-		fmt.Fprintf(b, "\tMOVQ c+24(FP), CX\n")
-	}
-	for c := 0; c < w/8; c++ {
-		off := c * 64
-		emitChunk512(b, k, off)
-		fmt.Fprintf(b, "\tVMOVDQU64 Z0, %d(DI)\n", off)
-	}
-	fmt.Fprintf(b, "\tVZEROUPPER\n\tRET\n")
-}
-
-// ---------------------------------------------------------------------------
-// kernels_arm64.s
-
-// NEON register plan (fixed across all kernels):
-//
-//	R0 val base   R1 current runGate   R2 flags   R3 n
-//	R4 offset scratch   R5 dst   R6 a   R7 b   R8 c
-//	R10/R11/R12 flag scratch
-//	V0 gate output chunk   V1/V2/V3 operand chunks   V4/V5 temps
-//	V12 diff accumulator   V13 not-uniform accumulator
-//	V14 broadcast of output word 0   V15 all-ones
-//
-// NEON has no immediate-offset vector loads, so the operand pointers
-// advance with post-increment VLD1.P/VST1.P; the dst pointer reads the
-// old value at (R5) before the store advances it.
-func genArm64Asm() []byte {
-	var b bytes.Buffer
-	b.WriteString(header)
-	fmt.Fprintf(&b, "//go:build !purego\n\n#include \"textflag.h\"\n")
-	for _, w := range widths {
-		for _, k := range kinds {
-			genAsmKernelNeon(&b, k, w)
-		}
-	}
-	for _, w := range widths {
-		for _, k := range kinds {
-			genAsmCompKernelNeon(&b, k, w)
-		}
-	}
-	return b.Bytes()
-}
-
-// emitChunkNeon emits the V0 computation of one 2-word output chunk,
-// loading operands through the post-increment cursors R6/R7/R8. Buf/Not
-// load straight into V0; Mux2 loads the select last so VBSL can use V0
-// as both selector and destination.
-func emitChunkNeon(b *bytes.Buffer, k kind) {
-	switch k.Name {
-	case "Buf":
-		fmt.Fprintf(b, "\tVLD1.P 16(R6), [V0.B16]\n")
-	case "Not":
-		fmt.Fprintf(b, "\tVLD1.P 16(R6), [V0.B16]\n\tVEOR V15.B16, V0.B16, V0.B16\n")
-	case "And2":
-		fmt.Fprintf(b, "\tVLD1.P 16(R6), [V1.B16]\n\tVLD1.P 16(R7), [V2.B16]\n\tVAND V2.B16, V1.B16, V0.B16\n")
-	case "Or2":
-		fmt.Fprintf(b, "\tVLD1.P 16(R6), [V1.B16]\n\tVLD1.P 16(R7), [V2.B16]\n\tVORR V2.B16, V1.B16, V0.B16\n")
-	case "Nand2":
-		fmt.Fprintf(b, "\tVLD1.P 16(R6), [V1.B16]\n\tVLD1.P 16(R7), [V2.B16]\n\tVAND V2.B16, V1.B16, V0.B16\n\tVEOR V15.B16, V0.B16, V0.B16\n")
-	case "Nor2":
-		fmt.Fprintf(b, "\tVLD1.P 16(R6), [V1.B16]\n\tVLD1.P 16(R7), [V2.B16]\n\tVORR V2.B16, V1.B16, V0.B16\n\tVEOR V15.B16, V0.B16, V0.B16\n")
-	case "Xor2":
-		fmt.Fprintf(b, "\tVLD1.P 16(R6), [V1.B16]\n\tVLD1.P 16(R7), [V2.B16]\n\tVEOR V2.B16, V1.B16, V0.B16\n")
-	case "Xnor2":
-		fmt.Fprintf(b, "\tVLD1.P 16(R6), [V1.B16]\n\tVLD1.P 16(R7), [V2.B16]\n\tVEOR V2.B16, V1.B16, V0.B16\n\tVEOR V15.B16, V0.B16, V0.B16\n")
-	case "Mux2":
-		// V0 = select (c); VBSL keeps V0's set bits from b (V2), clear
-		// bits from a (V1): exactly a&^c | b&c.
-		fmt.Fprintf(b, "\tVLD1.P 16(R6), [V1.B16]\n\tVLD1.P 16(R7), [V2.B16]\n\tVLD1.P 16(R8), [V0.B16]\n\tVBSL V1.B16, V2.B16, V0.B16\n")
-	}
-}
-
-func genAsmKernelNeon(b *bytes.Buffer, k kind, w int) {
-	name := fmt.Sprintf("kNeon%sW%d", k.Name, w)
-	fmt.Fprintf(b, `
-// func %s(val *uint64, gates *runGate, flags *uint8, n int)
-// NEON %s over a run of %d-lane-word gates: out written to
-// val[g.dst:], flags[i] = changed|uniform<<1 (see batchFlags).
-TEXT ·%s(SB), NOSPLIT, $0-32
-	MOVD val+0(FP), R0
-	MOVD gates+8(FP), R1
-	MOVD flags+16(FP), R2
-	MOVD n+24(FP), R3
-	CBZ R3, done
-`, name, k.Name, w, name)
-	if needsOnes(k.Name) {
-		fmt.Fprintf(b, "\tMOVD $-1, R4\n\tVMOV R4, V15.D2\n")
-	}
-	fmt.Fprintf(b, "gate:\n")
-	fmt.Fprintf(b, "\tMOVWU 0(R1), R4\n\tADD R4<<3, R0, R5\n")
-	fmt.Fprintf(b, "\tMOVWU 4(R1), R4\n\tADD R4<<3, R0, R6\n")
-	if k.Arity >= 2 {
-		fmt.Fprintf(b, "\tMOVWU 8(R1), R4\n\tADD R4<<3, R0, R7\n")
-	}
-	if k.Arity >= 3 {
-		fmt.Fprintf(b, "\tMOVWU 12(R1), R4\n\tADD R4<<3, R0, R8\n")
-	}
-	fmt.Fprintf(b, "\tVEOR V12.B16, V12.B16, V12.B16\n\tVEOR V13.B16, V13.B16, V13.B16\n")
-	for c := 0; c < w/2; c++ {
-		emitChunkNeon(b, k)
-		fmt.Fprintf(b, "\tVLD1 (R5), [V4.B16]\n\tVEOR V4.B16, V0.B16, V4.B16\n\tVORR V4.B16, V12.B16, V12.B16\n\tVST1.P [V0.B16], 16(R5)\n")
-		if c == 0 {
-			fmt.Fprintf(b, "\tVDUP V0.D[0], V14.D2\n")
-		}
-		fmt.Fprintf(b, "\tVEOR V14.B16, V0.B16, V5.B16\n\tVORR V5.B16, V13.B16, V13.B16\n")
-	}
-	fmt.Fprintf(b, `	VMOV V12.D[0], R10
-	VMOV V12.D[1], R11
-	ORR R11, R10, R10
-	VMOV V13.D[0], R11
-	VMOV V13.D[1], R12
-	ORR R12, R11, R11
-	CMP $0, R10
-	CSET NE, R10
-	CMP $0, R11
-	CSET EQ, R11
-	ORR R11<<1, R10, R10
-	MOVB R10, (R2)
-	ADD $1, R2
-	ADD $16, R1
-	SUB $1, R3
-	CBNZ R3, gate
-done:
-	RET
-`)
-}
-
-func genAsmCompKernelNeon(b *bytes.Buffer, k kind, w int) {
-	name := fmt.Sprintf("kCompNeon%sW%d", k.Name, w)
-	fmt.Fprintf(b, `
-// func %s(dst, a, b, c *uint64)
-// Raw NEON %s output at %d lane words into dst (no flags, no
-// change fold).
-TEXT ·%s(SB), NOSPLIT, $0-32
-	MOVD dst+0(FP), R5
-	MOVD a+8(FP), R6
-`, name, k.Name, w, name)
-	if k.Arity >= 2 {
-		fmt.Fprintf(b, "\tMOVD b+16(FP), R7\n")
-	}
-	if k.Arity >= 3 {
-		fmt.Fprintf(b, "\tMOVD c+24(FP), R8\n")
-	}
-	if needsOnes(k.Name) {
-		fmt.Fprintf(b, "\tMOVD $-1, R4\n\tVMOV R4, V15.D2\n")
-	}
-	for c := 0; c < w/2; c++ {
-		emitChunkNeon(b, k)
-		fmt.Fprintf(b, "\tVST1.P [V0.B16], 16(R5)\n")
-	}
-	fmt.Fprintf(b, "\tRET\n")
 }

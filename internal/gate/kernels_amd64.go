@@ -246,246 +246,3 @@ var avx2Comp = [4][numKinds]compKernel{
 	2: {Buf: kCompBufW32, Not: kCompNotW32, And2: kCompAnd2W32, Or2: kCompOr2W32, Nand2: kCompNand2W32, Nor2: kCompNor2W32, Xor2: kCompXor2W32, Xnor2: kCompXnor2W32, Mux2: kCompMux2W32},
 	3: {Buf: kCompBufW64, Not: kCompNotW64, And2: kCompAnd2W64, Or2: kCompOr2W64, Nand2: kCompNand2W64, Nor2: kCompNor2W64, Xor2: kCompXor2W64, Xnor2: kCompXnor2W64, Mux2: kCompMux2W64},
 }
-
-// AVX-512 batch kernels (kernels_amd64.s). Each evaluates one contiguous
-// run of same-kind gates at a fixed lane width, writing outputs into val
-// and one change/uniformity flag byte per gate; bit-exact with the
-// batchEvalGo* reference (asserted by TestBatchKernelEquivalence and
-// FuzzBatchKernels).
-
-//go:noescape
-func k512BufW8(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512NotW8(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512And2W8(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Or2W8(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Nand2W8(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Nor2W8(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Xor2W8(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Xnor2W8(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Mux2W8(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512BufW16(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512NotW16(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512And2W16(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Or2W16(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Nand2W16(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Nor2W16(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Xor2W16(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Xnor2W16(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Mux2W16(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512BufW32(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512NotW32(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512And2W32(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Or2W32(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Nand2W32(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Nor2W32(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Xor2W32(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Xnor2W32(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Mux2W32(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512BufW64(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512NotW64(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512And2W64(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Or2W64(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Nand2W64(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Nor2W64(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Xor2W64(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Xnor2W64(val *uint64, gates *runGate, flags *uint8, n int)
-
-//go:noescape
-func k512Mux2W64(val *uint64, gates *runGate, flags *uint8, n int)
-
-// avx512Kernels maps widthIdx(w) and gate kind to the AVX-512 run kernel.
-var avx512Kernels = [4][numKinds]batchKernel{
-	0: {Buf: k512BufW8, Not: k512NotW8, And2: k512And2W8, Or2: k512Or2W8, Nand2: k512Nand2W8, Nor2: k512Nor2W8, Xor2: k512Xor2W8, Xnor2: k512Xnor2W8, Mux2: k512Mux2W8},
-	1: {Buf: k512BufW16, Not: k512NotW16, And2: k512And2W16, Or2: k512Or2W16, Nand2: k512Nand2W16, Nor2: k512Nor2W16, Xor2: k512Xor2W16, Xnor2: k512Xnor2W16, Mux2: k512Mux2W16},
-	2: {Buf: k512BufW32, Not: k512NotW32, And2: k512And2W32, Or2: k512Or2W32, Nand2: k512Nand2W32, Nor2: k512Nor2W32, Xor2: k512Xor2W32, Xnor2: k512Xnor2W32, Mux2: k512Mux2W32},
-	3: {Buf: k512BufW64, Not: k512NotW64, And2: k512And2W64, Or2: k512Or2W64, Nand2: k512Nand2W64, Nor2: k512Nor2W64, Xor2: k512Xor2W64, Xnor2: k512Xnor2W64, Mux2: k512Mux2W64},
-}
-
-// AVX-512 raw-compute kernels (kernels_amd64.s). Each writes one gate's
-// unhooked output into dst with no change/uniformity fold — the hooked
-// recompute path, where patchHooks repairs the injected words and the
-// change fold runs against the previous patched value in Go.
-
-//go:noescape
-func kComp512BufW8(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512NotW8(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512And2W8(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Or2W8(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Nand2W8(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Nor2W8(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Xor2W8(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Xnor2W8(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Mux2W8(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512BufW16(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512NotW16(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512And2W16(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Or2W16(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Nand2W16(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Nor2W16(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Xor2W16(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Xnor2W16(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Mux2W16(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512BufW32(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512NotW32(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512And2W32(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Or2W32(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Nand2W32(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Nor2W32(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Xor2W32(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Xnor2W32(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Mux2W32(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512BufW64(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512NotW64(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512And2W64(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Or2W64(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Nand2W64(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Nor2W64(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Xor2W64(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Xnor2W64(dst, a, b, c *uint64)
-
-//go:noescape
-func kComp512Mux2W64(dst, a, b, c *uint64)
-
-// avx512Comp maps widthIdx(w) and gate kind to the raw-compute kernel.
-var avx512Comp = [4][numKinds]compKernel{
-	0: {Buf: kComp512BufW8, Not: kComp512NotW8, And2: kComp512And2W8, Or2: kComp512Or2W8, Nand2: kComp512Nand2W8, Nor2: kComp512Nor2W8, Xor2: kComp512Xor2W8, Xnor2: kComp512Xnor2W8, Mux2: kComp512Mux2W8},
-	1: {Buf: kComp512BufW16, Not: kComp512NotW16, And2: kComp512And2W16, Or2: kComp512Or2W16, Nand2: kComp512Nand2W16, Nor2: kComp512Nor2W16, Xor2: kComp512Xor2W16, Xnor2: kComp512Xnor2W16, Mux2: kComp512Mux2W16},
-	2: {Buf: kComp512BufW32, Not: kComp512NotW32, And2: kComp512And2W32, Or2: kComp512Or2W32, Nand2: kComp512Nand2W32, Nor2: kComp512Nor2W32, Xor2: kComp512Xor2W32, Xnor2: kComp512Xnor2W32, Mux2: kComp512Mux2W32},
-	3: {Buf: kComp512BufW64, Not: kComp512NotW64, And2: kComp512And2W64, Or2: kComp512Or2W64, Nand2: kComp512Nand2W64, Nor2: kComp512Nor2W64, Xor2: kComp512Xor2W64, Xnor2: kComp512Xnor2W64, Mux2: kComp512Mux2W64},
-}

@@ -1,14 +1,12 @@
-//go:build (!amd64 && !arm64) || purego
+//go:build !amd64 || purego
 
 package gate
 
-// Portable fallback: no assembly batch kernels. Every run dispatches to
-// the generated Go run kernels (kernels_generated.go).
+// Portable build: no assembly batch kernels. Every run dispatches to the
+// generated Go run kernels (kernels_generated.go).
 
-func detectTier() simdTier { return tierGeneric }
+const hasSIMD = false
 
-func tierAvailable(t simdTier) bool { return t == tierGeneric }
+func archBatchKernels(int) *[numKinds]batchKernel { return nil }
 
-func archBatchKernels(simdTier, int) *[numKinds]batchKernel { return nil }
-
-func archCompKernels(simdTier, int) *[numKinds]compKernel { return nil }
+func archCompKernels(int) *[numKinds]compKernel { return nil }

@@ -10,18 +10,6 @@ import (
 // indexed as widthIdx maps them.
 var simdWidths = []int{8, 16, 32, 64}
 
-// asmTiers lists the assembly kernel tiers runnable on this host/build
-// (possibly empty — e.g. under purego).
-func asmTiers() []simdTier {
-	var ts []simdTier
-	for _, t := range []simdTier{tierAVX512, tierAVX2, tierNEON} {
-		if tierAvailable(t) {
-			ts = append(ts, t)
-		}
-	}
-	return ts
-}
-
 // buildRun lays out one same-kind run over a fresh val image: n dst
 // slots followed by 3n operand slots, all filled with random words.
 // Unused operand offsets stay zero, exactly as the sweeps build them.
@@ -97,8 +85,8 @@ func compareRun(t *testing.T, tag string, want, got []uint64, wantF, gotF []uint
 }
 
 // checkRunEquivalence runs one (kind, width, run) case through the
-// scalar reference, the generated Go kernel, and every assembly tier
-// runnable on this host, asserting bit-identical outputs and flag bytes.
+// scalar reference, the generated Go kernel, and the AVX2 kernel when
+// this host runs it, asserting bit-identical outputs and flag bytes.
 func checkRunEquivalence(t *testing.T, kind Kind, w int, val []uint64, gates []runGate) {
 	t.Helper()
 	n := len(gates)
@@ -111,19 +99,20 @@ func checkRunEquivalence(t *testing.T, kind Kind, w int, val []uint64, gates []r
 	goBatchKernels[widthIdx(w)](goVal, kind, gates, goFlags)
 	compareRun(t, fmt.Sprintf("go kernel %s w=%d", kind, w), refVal, goVal, refFlags, goFlags)
 
-	for _, tier := range asmTiers() {
-		k := archBatchKernels(tier, widthIdx(w))[kind]
-		if k == nil {
-			t.Fatalf("tier %s has no batch kernel for %s w=%d", tier, kind, w)
-		}
-		asmVal := append([]uint64(nil), val...)
-		asmFlags := make([]uint8, n)
-		k(&asmVal[0], &gates[0], &asmFlags[0], n)
-		compareRun(t, fmt.Sprintf("%s kernel %s w=%d", tier, kind, w), refVal, asmVal, refFlags, asmFlags)
+	if !SIMDAvailable() {
+		return
 	}
+	k := archBatchKernels(widthIdx(w))[kind]
+	if k == nil {
+		t.Fatalf("no AVX2 batch kernel for %s w=%d", kind, w)
+	}
+	asmVal := append([]uint64(nil), val...)
+	asmFlags := make([]uint8, n)
+	k(&asmVal[0], &gates[0], &asmFlags[0], n)
+	compareRun(t, fmt.Sprintf("avx2 kernel %s w=%d", kind, w), refVal, asmVal, refFlags, asmFlags)
 }
 
-// TestBatchKernelEquivalence asserts every assembly batch kernel tier and
+// TestBatchKernelEquivalence asserts the AVX2 batch kernels and
 // the generated Go run kernels are bit-identical to an independent scalar
 // model across every kind, every SIMD width, and random run shapes —
 // including crafted uniform-output and unchanged-output gates.
@@ -157,35 +146,32 @@ func FuzzBatchKernels(f *testing.F) {
 	})
 }
 
-// TestRawComputeKernelEquivalence asserts every tier's raw-compute
-// kernels match evalWord word for word across kinds and widths.
+// TestRawComputeKernelEquivalence asserts the AVX2 raw-compute kernels
+// match evalWord word for word across kinds and widths.
 func TestRawComputeKernelEquivalence(t *testing.T) {
-	tiers := asmTiers()
-	if len(tiers) == 0 {
+	if !SIMDAvailable() {
 		t.Skip("no assembly kernels on this host/build")
 	}
-	for _, tier := range tiers {
-		r := rand.New(rand.NewSource(11))
-		for wi, w := range simdWidths {
-			comp := archCompKernels(tier, wi)
-			a := make([]uint64, w)
-			b := make([]uint64, w)
-			c := make([]uint64, w)
-			dst := make([]uint64, w)
-			for kind := Buf; kind <= Mux2; kind++ {
-				k := comp[kind]
-				if k == nil {
-					t.Fatalf("tier %s has no raw-compute kernel for %s w=%d", tier, kind, w)
+	r := rand.New(rand.NewSource(11))
+	for wi, w := range simdWidths {
+		comp := archCompKernels(wi)
+		a := make([]uint64, w)
+		b := make([]uint64, w)
+		c := make([]uint64, w)
+		dst := make([]uint64, w)
+		for kind := Buf; kind <= Mux2; kind++ {
+			k := comp[kind]
+			if k == nil {
+				t.Fatalf("no AVX2 raw-compute kernel for %s w=%d", kind, w)
+			}
+			for trial := 0; trial < 16; trial++ {
+				for j := 0; j < w; j++ {
+					a[j], b[j], c[j], dst[j] = r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64()
 				}
-				for trial := 0; trial < 16; trial++ {
-					for j := 0; j < w; j++ {
-						a[j], b[j], c[j], dst[j] = r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64()
-					}
-					k(&dst[0], &a[0], &b[0], &c[0])
-					for j := 0; j < w; j++ {
-						if want := evalWord(kind, a[j], b[j], c[j]); dst[j] != want {
-							t.Fatalf("tier %s %s w=%d word %d = %#x, want %#x", tier, kind, w, j, dst[j], want)
-						}
+				k(&dst[0], &a[0], &b[0], &c[0])
+				for j := 0; j < w; j++ {
+					if want := evalWord(kind, a[j], b[j], c[j]); dst[j] != want {
+						t.Fatalf("%s w=%d word %d = %#x, want %#x", kind, w, j, dst[j], want)
 					}
 				}
 			}
@@ -193,64 +179,69 @@ func TestRawComputeKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestSetSIMDTier exercises the forcing API: every tier the host can run
-// is forceable (and newly constructed sims capture it), unavailable and
-// unknown tiers error without changing the setting, and "auto" restores
-// detection.
-func TestSetSIMDTier(t *testing.T) {
-	defer SetSIMDTier("auto")
-	for _, name := range SIMDTiers() {
-		if _, err := SetSIMDTier(name); err != nil {
-			t.Fatalf("SetSIMDTier(%q): %v", name, err)
-		}
-		if got := SIMDKernelName(); got != name && !(name == "generic" && got == "purego") {
-			t.Fatalf("SIMDKernelName() = %q after forcing %q", got, name)
-		}
+// TestSetSIMD exercises the on/off switch: SetSIMD returns the previous
+// setting, SIMDEnabled and SIMDKernelName follow it (avx2 only where the
+// host has the kernels), and simulators capture the setting at
+// construction.
+func TestSetSIMD(t *testing.T) {
+	prev := SetSIMD(false)
+	defer SetSIMD(prev)
+	off := "generic"
+	if builtPurego {
+		off = "purego"
 	}
-	if _, err := SetSIMDTier("no-such-tier"); err == nil {
-		t.Fatal("SetSIMDTier accepted an unknown tier name")
+	on := off
+	if SIMDAvailable() {
+		on = "avx2"
 	}
-	for _, name := range []string{"avx512", "avx2", "neon"} {
-		tier, _ := parseTier(name)
-		if tierAvailable(tier) {
-			continue
+	n := randSeqNetlist(rand.New(rand.NewSource(1)), 4, 40, 4)
+	mkSim := func() *Sim {
+		s, err := NewSimWidth(n, 8)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := SetSIMDTier(name); err == nil {
-			t.Fatalf("SetSIMDTier(%q) succeeded on a host without it", name)
-		}
+		return s
 	}
-	if _, err := SetSIMDTier("auto"); err != nil {
-		t.Fatal(err)
+	if SIMDEnabled() || SIMDKernelName() != off {
+		t.Fatalf("after SetSIMD(false): enabled=%v name=%q, want false/%q", SIMDEnabled(), SIMDKernelName(), off)
 	}
-	if forcedTier.Load() != -1 {
-		t.Fatal("auto did not clear the forced tier")
+	offSim := mkSim()
+	if was := SetSIMD(true); was {
+		t.Fatal("SetSIMD(true) reported SIMD was already on")
+	}
+	if SIMDEnabled() != SIMDAvailable() || SIMDKernelName() != on {
+		t.Fatalf("after SetSIMD(true): enabled=%v name=%q, want %v/%q", SIMDEnabled(), SIMDKernelName(), SIMDAvailable(), on)
+	}
+	onSim := mkSim()
+	if was := SetSIMD(false); !was {
+		t.Fatal("SetSIMD(false) reported SIMD was already off")
+	}
+	if offSim.kern != nil || offSim.comp != nil {
+		t.Fatal("a sim built with SIMD off captured assembly kernels")
+	}
+	if (onSim.kern != nil) != SIMDAvailable() || (onSim.comp != nil) != SIMDAvailable() {
+		t.Fatalf("a sim built with SIMD on captured kern=%v comp=%v on a host with SIMD=%v",
+			onSim.kern != nil, onSim.comp != nil, SIMDAvailable())
 	}
 }
 
-// TestSimTierEquivalence runs the same faulted random circuit on every
-// runnable kernel tier plus the generic Go path, on both engines,
-// asserting every signal word agrees cycle for cycle and that the
-// uniformity index never claims a divergent signal uniform. It also
+// TestSimTierEquivalence runs the same faulted random circuit on the
+// AVX2 kernels and on the generic Go path (SIMD on and off), on both
+// engines, asserting every signal word agrees cycle for cycle and that
+// the uniformity index never claims a divergent signal uniform. It also
 // checks the dispatch counters attribute runs to the right kernel
-// family. This is the whole-sim half of the fallback-chain guarantee: an
-// AVX-512 host exercises avx512, avx2, and generic here.
+// family. On a host without AVX2 both halves run the generic kernels.
 func TestSimTierEquivalence(t *testing.T) {
-	defer SetSIMDTier("auto")
-	names := make([]string, 0, 4)
-	for _, tier := range asmTiers() {
-		names = append(names, tier.String())
-	}
-	names = append(names, "generic")
+	prev := SetSIMD(true)
+	defer SetSIMD(prev)
 	for _, w := range simdWidths {
 		r := rand.New(rand.NewSource(int64(w)))
 		n := randSeqNetlist(r, 10, 300, 16)
 		faults := randFaults(r, n, 48)
 		var sims []*Sim
 		var tags []string
-		for _, name := range names {
-			if _, err := SetSIMDTier(name); err != nil {
-				t.Fatal(err)
-			}
+		for _, simd := range []bool{true, false} {
+			SetSIMD(simd)
 			ob, err := NewSimWidth(n, w)
 			if err != nil {
 				t.Fatal(err)
@@ -259,6 +250,7 @@ func TestSimTierEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			name := SIMDKernelName()
 			sims = append(sims, ob, ev)
 			tags = append(tags, name+"/obliv", name+"/event")
 		}
@@ -299,50 +291,5 @@ func TestSimTierEquivalence(t *testing.T) {
 				t.Errorf("w=%d %s stats: SIMDRuns=%d GenericRuns=%d", w, tags[si], ks.SIMDRuns, ks.GenericRuns)
 			}
 		}
-	}
-}
-
-// TestSimSIMDOnOffEquivalence keeps the coarse on/off switch honest:
-// SetSIMD(false) must force the generic kernels regardless of tier.
-func TestSimSIMDOnOffEquivalence(t *testing.T) {
-	if !SIMDAvailable() {
-		t.Skip("no assembly kernels on this host/build")
-	}
-	prev := SetSIMD(true)
-	defer SetSIMD(prev)
-	w := 32
-	r := rand.New(rand.NewSource(32))
-	n := randSeqNetlist(r, 10, 300, 16)
-	faults := randFaults(r, n, 48)
-	mkSim := func(simd bool) *Sim {
-		SetSIMD(simd)
-		ev, err := NewEventSimWidth(n, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ev
-	}
-	on, off := mkSim(true), mkSim(false)
-	for _, s := range []*Sim{on, off} {
-		s.Reset()
-		s.SetFaults(faults)
-	}
-	for cyc := 0; cyc < 120; cyc++ {
-		in := r.Uint64()
-		for _, s := range []*Sim{on, off} {
-			s.SetBusUniform("in", in)
-			s.Step()
-		}
-		for i := range on.val {
-			if on.val[i] != off.val[i] {
-				t.Fatalf("cycle %d: val[%d] diverges: on=%#x off=%#x", cyc, i, on.val[i], off.val[i])
-			}
-		}
-	}
-	if ks := on.KernelStats(); ks.SIMDRuns == 0 || ks.GenericRuns != 0 {
-		t.Errorf("SIMD-on stats: SIMDRuns=%d GenericRuns=%d", ks.SIMDRuns, ks.GenericRuns)
-	}
-	if ks := off.KernelStats(); ks.GenericRuns == 0 || ks.SIMDRuns != 0 {
-		t.Errorf("SIMD-off stats: SIMDRuns=%d GenericRuns=%d", ks.SIMDRuns, ks.GenericRuns)
 	}
 }

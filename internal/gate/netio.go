@@ -61,31 +61,34 @@ func kindByName(name string) (Kind, bool) {
 }
 
 // ReadNetlist parses the format written by WriteNetlist and validates the
-// result.
+// result. Netlists arrive from cache artifacts and remote hosts, so every
+// number is parsed at the width it is stored in (32-bit signals, 16-bit
+// component ids) and every signal reference is range-checked: malformed
+// input is an error, never a truncated value or a later panic.
 func ReadNetlist(r io.Reader) (*Netlist, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	var n *Netlist
 	line := 0
 	compCount := 0
+	parseSig := func(tok string) (Sig, error) {
+		v, err := strconv.ParseInt(tok, 10, 32)
+		return Sig(v), err
+	}
 	parsePin := func(tok string) (Sig, error) {
 		if tok == "-" {
 			return NoSig, nil
 		}
-		v, err := strconv.Atoi(tok)
-		if err != nil {
-			return NoSig, err
-		}
-		return Sig(v), nil
+		return parseSig(tok)
 	}
 	parseSigs := func(toks []string) ([]Sig, error) {
 		sigs := make([]Sig, len(toks))
 		for i, t := range toks {
-			v, err := strconv.Atoi(t)
+			v, err := parseSig(t)
 			if err != nil {
 				return nil, err
 			}
-			sigs[i] = Sig(v)
+			sigs[i] = v
 		}
 		return sigs, nil
 	}
@@ -132,7 +135,7 @@ func ReadNetlist(r io.Reader) (*Netlist, error) {
 				}
 				g.In[p] = s
 			}
-			comp, err := strconv.Atoi(fields[5])
+			comp, err := strconv.ParseInt(fields[5], 10, 16)
 			if err != nil {
 				return nil, fmt.Errorf("gate: line %d: bad comp id", line)
 			}
@@ -175,6 +178,13 @@ func ReadNetlist(r io.Reader) (*Netlist, error) {
 		for _, s := range p.sigs {
 			if s < 0 || int(s) >= len(n.Gates) || n.Gates[s].Kind != Input {
 				return nil, fmt.Errorf("gate: inbus %q signal %d is not an INPUT cell", p.name, s)
+			}
+		}
+	}
+	for _, p := range n.outputs {
+		for _, s := range p.sigs {
+			if s < 0 || int(s) >= len(n.Gates) {
+				return nil, fmt.Errorf("gate: outbus %q signal %d is out of range (%d signals)", p.name, s, len(n.Gates))
 			}
 		}
 	}

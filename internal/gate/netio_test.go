@@ -2,6 +2,7 @@ package gate
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -74,12 +75,68 @@ func TestReadNetlistErrors(t *testing.T) {
 		"netlist x\ng NOT zz - - 0",          // bad pin token
 		"netlist x\ninbus a 0",               // inbus referencing non-input
 		"netlist x\ncomp a\ncomp a\nbadline", // tokens
+		// Out-of-range outbus signal (the simulator would index past val).
+		"netlist x\ncomp glue\ng INPUT - - - 0\ninbus a 0\noutbus o 5",
+		// Values that wrap when narrowed: signal 2^32 would read as 0,
+		// comp 65536 as 0.
+		"netlist x\ng INPUT - - - 0\ng NOT 4294967296 - - 0\ninbus a 0\noutbus o 1",
+		"netlist x\ng INPUT - - - 65536\ninbus a 0\noutbus o 0",
+		"netlist x\ng INPUT - - - 0\ninbus a 4294967296",
+		"netlist x\ng INPUT - - - 0\noutbus o 4294967296",
 	}
 	for _, src := range cases {
 		if _, err := ReadNetlist(strings.NewReader(src)); err == nil {
 			t.Errorf("ReadNetlist(%q) succeeded", src)
 		}
 	}
+}
+
+// FuzzReadNetlist feeds arbitrary text to ReadNetlist. Input it rejects
+// must come back as an error, never a panic; input it accepts must
+// round-trip through WriteNetlist to the same text and must build a
+// simulator that evaluates and reads every output bus without panicking.
+// The seed corpus holds the out-of-range outbus and wraparound cases of
+// TestReadNetlistErrors plus netlists written by WriteNetlist.
+func FuzzReadNetlist(f *testing.F) {
+	for _, n := range []*Netlist{buildSmallSeq(), randSeqNetlist(rand.New(rand.NewSource(5)), 6, 60, 6)} {
+		var buf bytes.Buffer
+		if err := WriteNetlist(&buf, n); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
+	f.Add("netlist x\ncomp glue\ng INPUT - - - 0\ninbus a 0\noutbus o 5")
+	f.Add("netlist x\ng INPUT - - - 0\ng NOT 4294967296 - - 0\ninbus a 0\noutbus o 1")
+	f.Add("netlist x\ng INPUT - - - 65536\ninbus a 0\noutbus o 0")
+	f.Fuzz(func(t *testing.T, src string) {
+		n, err := ReadNetlist(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteNetlist(&first, n); err != nil {
+			t.Fatal(err)
+		}
+		n2, err := ReadNetlist(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("accepted netlist does not re-read: %v\n%s", err, first.String())
+		}
+		if err := WriteNetlist(&second, n2); err != nil {
+			t.Fatal(err)
+		}
+		if first.String() != second.String() {
+			t.Fatalf("round trip changed the netlist:\n%s\n---\n%s", first.String(), second.String())
+		}
+		s, err := NewSim(n)
+		if err != nil {
+			return
+		}
+		s.Reset()
+		s.Eval()
+		for _, name := range n.OutputNames() {
+			s.BusLane(name, 0)
+		}
+	})
 }
 
 func TestVCDWriter(t *testing.T) {

@@ -2,7 +2,8 @@
 
 package gate
 
-// builtPurego distinguishes a generic tier that fell back at runtime
-// from one forced by the purego build tag (observability only — the
-// kernels dispatched are the same generated Go).
+// builtPurego distinguishes generic kernels chosen at runtime (no AVX2,
+// or SIMD disabled) from ones forced by the purego build tag
+// (observability only — the kernels dispatched are the same generated
+// Go).
 const builtPurego = true

@@ -119,11 +119,11 @@ type Sim struct {
 
 	inc *incState // non-nil: event-driven incremental evaluation (event.go)
 
-	// Compiled kernel plan (batch.go, tier.go), resolved once at
-	// construction for the SIMD widths (w >= 8) so the steady-state eval
-	// loop carries no per-gate kind/width/tier branching: tier is the
-	// captured kernel backend, kern/comp its per-kind batch and
-	// raw-compute kernel tables at this width (nil on the generic tier),
+	// Compiled kernel plan (batch.go), resolved once at construction for
+	// the SIMD widths (w >= 8) so the steady-state eval loop carries no
+	// per-gate kind/width/backend branching: kern/comp are the per-kind
+	// AVX2 batch and raw-compute kernel tables at this width (nil when
+	// SIMD is unavailable or disabled at construction),
 	// goKern the width-bound Go run kernel, and rg the per-signal operand
 	// lane-word offsets every batched path reads instead of re-deriving
 	// them gate by gate (unused operands stay offset 0 — an in-bounds
@@ -132,7 +132,6 @@ type Sim struct {
 	// per-kind pending runs of the current sweep level, oblFlags its
 	// kernel flag scratch for the oblivious runs, kstats the dispatch
 	// counters.
-	tier     simdTier
 	kern     *[numKinds]batchKernel
 	comp     *[numKinds]compKernel
 	goKern   func(val []uint64, kind Kind, gates []runGate, flags []uint8)
@@ -177,19 +176,20 @@ func newSim(n *Netlist, w int) (*Sim, *compiled, error) {
 		hookIdx: make([]int32, len(n.Gates)),
 		hooks:   make([][]laneInject, 0, 64),
 		uni:     make([]bool, len(n.Gates)),
-		tier:    activeTier(),
 	}
 	for i := range s.hookIdx {
 		s.hookIdx[i] = -1
 	}
 	if wp != nil {
-		// Resolve the dispatch tables for the captured (tier, width) and
-		// take the shared operand offsets and level runs, so evaluation
-		// is a flat walk over resolved kernel calls.
+		// Resolve the dispatch tables for this width and take the shared
+		// operand offsets and level runs, so evaluation is a flat walk
+		// over resolved kernel calls.
 		wi := widthIdx(w)
 		s.goKern = goBatchKernels[wi]
-		s.kern = archBatchKernels(s.tier, wi)
-		s.comp = archCompKernels(s.tier, wi)
+		if SIMDEnabled() {
+			s.kern = archBatchKernels(wi)
+			s.comp = archCompKernels(wi)
+		}
 		s.rg, s.obl = wp.rg, wp.obl
 		s.oblFlags = make([]uint8, wp.obl.maxRun)
 	}

@@ -2,23 +2,18 @@
 
 package gate
 
-// Runtime CPU-feature detection for the amd64 kernel backends. The
-// module is dependency-free, so the CPUID/XGETBV probes are done
-// directly (cpuid_amd64.s) instead of via golang.org/x/sys/cpu: AVX
-// needs OSXSAVE + the AVX bit in CPUID.1:ECX and OS-enabled XMM/YMM
-// state in XCR0; AVX2 is CPUID.7.0:EBX bit 5. The AVX-512 kernels use
-// only foundation instructions plus VPTESTMQ on quadwords, so the gate
-// is AVX512F + AVX512BW with the opmask/ZMM state bits OS-enabled in
-// XCR0 (without the XCR0 check a VM that masks state support would
-// fault on the first ZMM touch).
+// Runtime CPU-feature detection for the AVX2 kernels. The module is
+// dependency-free, so the CPUID/XGETBV probes are done directly
+// (cpuid_amd64.s) instead of via golang.org/x/sys/cpu: AVX needs OSXSAVE
+// + the AVX bit in CPUID.1:ECX and OS-enabled XMM/YMM state in XCR0;
+// AVX2 is CPUID.7.0:EBX bit 5.
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-var (
-	hasAVX2   = detectAVX2()
-	hasAVX512 = detectAVX512()
-)
+// hasSIMD reports whether this host runs the AVX2 kernels, probed once
+// at startup.
+var hasSIMD = detectAVX2()
 
 func detectAVX2() bool {
 	maxID, _, _, _ := cpuid(0, 0)
@@ -37,68 +32,10 @@ func detectAVX2() bool {
 	return b&(1<<5) != 0
 }
 
-func detectAVX512() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	const osxsave = 1 << 27
-	_, _, c, _ := cpuid(1, 0)
-	if c&osxsave == 0 {
-		return false
-	}
-	// XCR0 bits: XMM (1), YMM (2), opmask (5), ZMM_Hi256 (6),
-	// Hi16_ZMM (7) all OS-enabled.
-	if x, _ := xgetbv(); x&0xe6 != 0xe6 {
-		return false
-	}
-	const avx512f, avx512bw = 1 << 16, 1 << 30
-	_, b, _, _ := cpuid(7, 0)
-	return b&avx512f != 0 && b&avx512bw != 0
-}
+// archBatchKernels resolves the per-kind AVX2 run-kernel table for
+// widthIdx row wi.
+func archBatchKernels(wi int) *[numKinds]batchKernel { return &avx2Kernels[wi] }
 
-func detectTier() simdTier {
-	switch {
-	case hasAVX512:
-		return tierAVX512
-	case hasAVX2:
-		return tierAVX2
-	}
-	return tierGeneric
-}
-
-func tierAvailable(t simdTier) bool {
-	switch t {
-	case tierGeneric:
-		return true
-	case tierAVX2:
-		return hasAVX2
-	case tierAVX512:
-		return hasAVX512
-	}
-	return false
-}
-
-// archBatchKernels resolves the tier's per-kind run-kernel table for
-// widthIdx row wi; nil means no assembly at this tier (generic).
-func archBatchKernels(t simdTier, wi int) *[numKinds]batchKernel {
-	switch t {
-	case tierAVX512:
-		return &avx512Kernels[wi]
-	case tierAVX2:
-		return &avx2Kernels[wi]
-	}
-	return nil
-}
-
-// archCompKernels resolves the tier's per-kind raw-compute table for
-// widthIdx row wi; nil means no assembly at this tier.
-func archCompKernels(t simdTier, wi int) *[numKinds]compKernel {
-	switch t {
-	case tierAVX512:
-		return &avx512Comp[wi]
-	case tierAVX2:
-		return &avx2Comp[wi]
-	}
-	return nil
-}
+// archCompKernels resolves the per-kind AVX2 raw-compute table for
+// widthIdx row wi.
+func archCompKernels(wi int) *[numKinds]compKernel { return &avx2Comp[wi] }

@@ -61,26 +61,20 @@ func BenchmarkEventEvalWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkEventEvalTier runs the same faulted eval loop with each
-// runnable kernel tier forced in turn (plus generic), at the widths
-// where the backends differ most. On an AVX-512 host the avx512/avx2
-// rows at equal width isolate the VPTERNLOG + 512-bit-vector win from
-// everything else in the sweep.
+// BenchmarkEventEvalTier runs the same faulted eval loop on the AVX2
+// kernels and on the generic Go kernels (SIMD on and off), at the widths
+// where the backends differ most. The rows at equal width isolate the
+// assembly win from everything else in the sweep.
 func BenchmarkEventEvalTier(b *testing.B) {
-	defer SetSIMDTier("auto")
+	prev := SetSIMD(true)
+	defer SetSIMD(prev)
 	n := buildBenchNetlist(256, 4000)
 	sites := collectFaultSites(n)
-	names := make([]string, 0, 4)
-	for _, tier := range asmTiers() {
-		names = append(names, tier.String())
-	}
-	names = append(names, "generic")
-	for _, name := range names {
+	for _, simd := range []bool{true, false} {
+		SetSIMD(simd)
+		name := SIMDKernelName()
 		for _, w := range []int{16, 32, 64} {
 			b.Run(fmt.Sprintf("tier=%s/w=%d", name, w), func(b *testing.B) {
-				if _, err := SetSIMDTier(name); err != nil {
-					b.Fatal(err)
-				}
 				benchEventEval(b, n, sites, w)
 			})
 		}
@@ -88,7 +82,7 @@ func BenchmarkEventEvalTier(b *testing.B) {
 }
 
 // BenchmarkBatchKernelTier measures one batch kernel in isolation: a
-// 512-gate same-kind run evaluated back to back, per tier and width.
+// 512-gate same-kind run evaluated back to back, per backend and width.
 // Unlike the EventEval benchmarks there is no queue or batching work in
 // the loop, so the ratio between tiers here is the pure kernel speedup;
 // the gap between this ratio and the EventEvalTier ratio is the Amdahl
@@ -99,17 +93,14 @@ func BenchmarkBatchKernelTier(b *testing.B) {
 		name string
 		kind Kind
 	}{{"and2", And2}, {"xor2", Xor2}, {"mux2", Mux2}} {
-		for _, tier := range asmTiers() {
-			for _, w := range []int{16, 32, 64} {
-				wi := widthIdx(w)
-				kern := archBatchKernels(tier, wi)
-				if kern == nil || kern[tc.kind] == nil {
-					continue
-				}
-				b.Run(fmt.Sprintf("kind=%s/tier=%s/w=%d", tc.name, tier, w), func(b *testing.B) {
-					benchBatchKernel(b, kern[tc.kind], tc.kind, nGates, w)
-				})
+		for _, w := range []int{16, 32, 64} {
+			kern := archBatchKernels(widthIdx(w))
+			if !SIMDAvailable() || kern == nil || kern[tc.kind] == nil {
+				continue
 			}
+			b.Run(fmt.Sprintf("kind=%s/tier=avx2/w=%d", tc.name, w), func(b *testing.B) {
+				benchBatchKernel(b, kern[tc.kind], tc.kind, nGates, w)
+			})
 		}
 		for _, w := range []int{16, 32, 64} {
 			kern := goBatchKernels[widthIdx(w)]
